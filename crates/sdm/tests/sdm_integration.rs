@@ -150,3 +150,96 @@ fn sdm_network_is_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+/// Digest pin of the SDM router's observable behaviour on a 4×4 mesh and a
+/// 4×4 torus: the serialised `NetStats` and the full telemetry event
+/// stream (VA/SA grant order is where an arbitration change shows first).
+/// Traffic repeats a few flows per source so circuits form, and enough of
+/// them compete for the three circuit planes per link that some setups
+/// fail: the plane, circuit, ack and teardown paths all run.
+#[test]
+fn sdm_behaviour_is_pinned_on_mesh_and_torus() {
+    use noc_scenario::cache_key::sha256;
+    use noc_sim::TelemetryConfig;
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn run(mesh: Mesh) -> (String, String, u64, u64) {
+        let c = SdmConfig {
+            net: NetworkConfig::with_mesh(mesh),
+            setup_after_msgs: 2,
+            freq_window: 2_048,
+            ..Default::default()
+        };
+        let mut n = net(c);
+        n.configure_telemetry(&TelemetryConfig {
+            capacity: 1 << 16,
+            ..TelemetryConfig::default()
+        });
+        n.begin_measurement();
+        let nodes = mesh.len() as u32;
+        let mut lcg = 0x2545_f491_4f6c_dd1du64;
+        let mut id = 0;
+        for _ in 0..100 {
+            for s in 0..nodes {
+                lcg = lcg
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                if (lcg >> 33) % 4 != 0 {
+                    continue;
+                }
+                let k = (lcg >> 40) as u32 % 3;
+                let dst = NodeId((s * 7 + 3 + k * 5) % nodes);
+                let src = NodeId(s);
+                if dst != src {
+                    let now = n.now();
+                    n.inject(src, data(id, src, dst, now));
+                    id += 1;
+                }
+            }
+            n.run(8);
+        }
+        assert!(n.drain(20_000), "SDM network failed to drain");
+        n.end_measurement();
+        let report = n.take_telemetry().expect("telemetry armed");
+        assert_eq!(report.dropped, 0, "event ring wrapped: raise capacity");
+        let mut bytes = Vec::with_capacity(report.events.len() * 22);
+        for e in &report.events {
+            bytes.extend_from_slice(&e.cycle.to_le_bytes());
+            bytes.extend_from_slice(&e.node.to_le_bytes());
+            bytes.push(e.kind as u8);
+            bytes.push(e.port);
+            bytes.extend_from_slice(&e.id.to_le_bytes());
+        }
+        let stats = serde_json::to_string(&n.stats).expect("stats serialise");
+        (
+            hex(&sha256(stats.as_bytes())),
+            hex(&sha256(&bytes)),
+            n.stats.cs_packets_delivered,
+            n.total_events().setup_failures,
+        )
+    }
+
+    for (name, mesh, want_stats, want_events) in [
+        (
+            "mesh",
+            Mesh::square(4),
+            "4c74c897d5d584928c57a9d4e1665aad307693a21f297478c8fe6e83c091ff16",
+            "9a6a5021f09c3677ae311c572e90784b94d766ced6d00dce1a044ff475afc963",
+        ),
+        (
+            "torus",
+            Mesh::torus(4, 4),
+            "116f73aec4efed55d98ed6dec5184f6ad6fe2fe808d50840e2de3192547865ae",
+            "45bd22471ad3bc007baf695da99241f07d839d63b1fdf0289d61ac1ab1276924",
+        ),
+    ] {
+        let (stats, events, cs, failures) = run(mesh);
+        assert!(cs > 0, "{name}: no circuit-switched packet delivered");
+        assert!(failures > 0, "{name}: no setup ever failed");
+        assert_eq!(stats, want_stats, "{name}: NetStats digest moved");
+        assert_eq!(events, want_events, "{name}: telemetry event digest moved");
+    }
+}
