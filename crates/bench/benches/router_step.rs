@@ -35,7 +35,7 @@ fn bench_pipeline_step(c: &mut Criterion) {
         b.iter(|| {
             feed(&mut p, now, &mut pid);
             out.clear();
-            p.step(now, &NullCtrl, &mut out);
+            p.step(now, &mut NullCtrl, &mut out);
             // Return credits so the pipeline keeps flowing.
             for v in 0..4 {
                 while p.out_credit(Port::East, v) < 5 {

@@ -20,11 +20,10 @@
 use std::sync::Arc;
 
 use noc_sim::routing::{west_first_route, xy_route};
-use noc_sim::trace::{Trace, TraceEvent};
 use noc_sim::{
     ConfigArena, ConfigKind, Credit, Cycle, Direction, EventKind, Flit, HybridCtrl, Mesh, MsgClass,
-    NodeId, NodeOutputs, Packet, PacketId, Port, PsOutput, PsPipeline, RouterConfig, Snap,
-    SnapshotError, SnapshotReader, SnapshotWriter, Switching,
+    NodeId, NodeOutputs, Packet, PacketId, Port, PsPipeline, RouterConfig, Snap, SnapshotError,
+    SnapshotReader, SnapshotWriter, Switching,
 };
 
 use crate::slot_table::SlotTables;
@@ -103,19 +102,33 @@ impl Snap for DltObservation {
     }
 }
 
-/// Per-cycle switching constraints handed to the PS pipeline.
+/// Per-cycle switching constraints handed to the PS pipeline, as port
+/// bitmasks (bit = `Port::index`).
 struct TdmCtrl {
-    outputs: [PsOutput; Port::COUNT],
-    inputs_blocked: [bool; Port::COUNT],
+    /// Outputs a packet-switched flit may not use this cycle: a circuit
+    /// flit crosses them, or they are reserved and stealing is disabled.
+    busy_outs: u8,
+    /// Outputs reserved for a circuit this cycle with no circuit flit
+    /// arriving: a packet-switched flit may *steal* the slot (§II-D).
+    idle_reserved_outs: u8,
+    /// Inputs whose crossbar port a circuit flit holds this cycle.
+    blocked_ins: u8,
 }
 
 impl HybridCtrl for TdmCtrl {
-    fn ps_output_state(&self, _now: Cycle, o: Port) -> PsOutput {
-        self.outputs[o.index()]
+    #[inline]
+    fn ps_input_blocked(&self, _now: Cycle, p: Port) -> bool {
+        self.blocked_ins & (1 << p.index()) != 0
     }
 
-    fn ps_input_blocked(&self, _now: Cycle, p: Port) -> bool {
-        self.inputs_blocked[p.index()]
+    #[inline]
+    fn ps_admit(&self, _now: Cycle, o: Port, _packet: PacketId) -> bool {
+        self.busy_outs & (1 << o.index()) == 0
+    }
+
+    #[inline]
+    fn ps_traversed(&mut self, _now: Cycle, o: Port, _packet: PacketId, _is_tail: bool) -> bool {
+        self.idle_reserved_outs & (1 << o.index()) != 0
     }
 }
 
@@ -139,9 +152,6 @@ pub struct TdmRouter {
     /// (a consumed flit never reaches the buffer-read stage where credits
     /// are normally returned). Drained into the wires each cycle.
     pending_credits: Vec<(Port, u8)>,
-    /// Optional flit-level event trace (protocol debugging); disabled by
-    /// default and free when off.
-    pub trace: Trace,
     /// Configuration-payload arena the router reads `setup`/`teardown`
     /// payloads from and re-interns advanced-slot forwards into. Private
     /// by default; the owning network swaps in its shared arena.
@@ -169,7 +179,6 @@ impl TdmRouter {
             cs_ejected: Vec::with_capacity(8),
             time_slot_stealing: true,
             pending_credits: Vec::with_capacity(8),
-            trace: Trace::default(),
             arena: Arc::new(ConfigArena::new()),
             next_protocol_id: 0,
         }
@@ -322,16 +331,6 @@ impl TdmRouter {
                     info.dst,
                 ) {
                     Ok(written) => {
-                        self.trace.record(
-                            now,
-                            TraceEvent::Reserved {
-                                at: self.pipeline.id,
-                                in_port,
-                                slot: info.slot % self.slots.active(),
-                                duration: info.duration,
-                                path_id: info.path_id,
-                            },
-                        );
                         self.pipeline.trace.record(
                             now,
                             self.pipeline.id.0,
@@ -380,14 +379,6 @@ impl TdmRouter {
             ConfigKind::Teardown(info) => {
                 match self.slots.release_path(in_port, info.path_id) {
                     Some((out, cleared)) => {
-                        self.trace.record(
-                            now,
-                            TraceEvent::Released {
-                                at: self.pipeline.id,
-                                in_port,
-                                path_id: info.path_id,
-                            },
-                        );
                         self.pipeline.trace.record(
                             now,
                             self.pipeline.id.0,
@@ -465,86 +456,45 @@ impl TdmRouter {
                 .expect("local credits go via local_credits");
             out.credits.push((dir, noc_sim::Credit { vc }));
         }
-        // Build the per-cycle constraint view.
-        let mut ctrl = TdmCtrl {
-            outputs: [PsOutput::Free; Port::COUNT],
-            inputs_blocked: [false; Port::COUNT],
-        };
-        // One pass over the latches yields both the blocked inputs and the
-        // outputs busy with a circuit flit this cycle; the slot tables
-        // answer "reserved in this slot" with a single byte (maintained
-        // incrementally by reserve/release).
+        // Build the per-cycle constraint view. One pass over the latches
+        // yields both the blocked inputs and the outputs busy with a circuit
+        // flit this cycle; the slot tables answer "reserved in this slot"
+        // with a single byte (maintained incrementally by reserve/release).
         let mut latched_outs = 0u8;
+        let mut blocked_ins = 0u8;
         for (p, l) in self.cs_latch.iter().enumerate() {
             if let Some((_, cs_out)) = l {
                 latched_outs |= 1 << cs_out.index();
-                ctrl.inputs_blocked[p] = true;
+                blocked_ins |= 1 << p;
             }
         }
         let reserved_outs = self.slots.reserved_outputs(now);
-        for o in Port::ALL {
-            let bit = 1u8 << o.index();
-            ctrl.outputs[o.index()] = if latched_outs & bit != 0 {
-                PsOutput::Busy
-            } else if reserved_outs & bit != 0 {
-                if self.time_slot_stealing {
-                    PsOutput::ReservedIdle
-                } else {
-                    PsOutput::Busy
-                }
-            } else {
-                PsOutput::Free
-            };
-        }
+        // Without stealing, an idle reservation blocks like a busy one.
+        let stealable = if self.time_slot_stealing {
+            reserved_outs & !latched_outs
+        } else {
+            0
+        };
+        let mut ctrl = TdmCtrl {
+            busy_outs: latched_outs | (reserved_outs & !stealable),
+            idle_reserved_outs: stealable,
+            blocked_ins,
+        };
 
         // Circuit-switched traversal: one cycle through the pre-configured
         // crossbar, no buffering.
         let mut used_outputs = 0u8;
         for p in 0..Port::COUNT {
-            let Some((mut flit, o)) = self.cs_latch[p].take() else {
+            let Some((flit, o)) = self.cs_latch[p].take() else {
                 continue;
             };
             debug_assert_eq!(used_outputs & (1 << o.index()), 0, "CS output collision");
             used_outputs |= 1 << o.index();
-            self.trace.record(
-                now,
-                TraceEvent::Traversed {
-                    at: self.pipeline.id,
-                    out: o,
-                    packet: flit.packet,
-                    seq: flit.seq,
-                    circuit: true,
-                },
-            );
-            self.pipeline.events.xbar_traversals += 1;
-            match o.direction() {
-                Some(d) => {
-                    flit.hops += 1;
-                    self.pipeline.events.link_flits += 1;
-                    self.pipeline.trace.record(
-                        now,
-                        self.pipeline.id.0,
-                        EventKind::LinkTraverse,
-                        o.index() as u8,
-                        flit.packet.0,
-                    );
-                    out.flits.push((d, flit));
-                }
-                None => {
-                    self.pipeline.events.cs_flits_delivered += 1;
-                    self.pipeline.trace.record(
-                        now,
-                        self.pipeline.id.0,
-                        EventKind::Eject,
-                        Port::Local.index() as u8,
-                        flit.packet.0,
-                    );
-                    self.cs_ejected.push(flit);
-                }
-            }
+            self.pipeline
+                .circuit_traverse(now, flit, o, out, &mut self.cs_ejected);
         }
 
-        self.pipeline.step(now, &ctrl, out);
+        self.pipeline.step(now, &mut ctrl, out);
     }
 
     /// Reset all slot tables to `new_active` entries (dynamic granularity

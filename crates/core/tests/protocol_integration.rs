@@ -281,16 +281,22 @@ fn vicinity_message_reaches_true_destination_via_hop_off() {
 
 #[test]
 fn trace_reconstructs_a_circuit_lifecycle() {
-    // Enable tracing on every router, warm a circuit, send one message and
-    // verify the trace shows reservation at every hop followed by the
-    // message's circuit traversals.
+    // Arm telemetry on every router, warm a circuit, and verify the event
+    // stream shows the reservation at every hop followed by a circuit
+    // message's single-cycle traversals.
+    use noc_sim::{EventKind, TelemetryConfig};
+
     let mesh = Mesh::square(4);
     let src = mesh.id(Coord::new(0, 1));
     let dst = mesh.id(Coord::new(3, 1));
+    let hops = mesh.hops(src, dst) as usize;
     let mut net = TdmNetwork::new(cfg(mesh));
-    for node in &mut net.net.nodes {
-        node.router.trace.enable();
-    }
+    net.net.configure_telemetry(&TelemetryConfig {
+        capacity: 1 << 16,
+        ..TelemetryConfig::default()
+    });
+    net.net.collect_delivered = true;
+    net.begin_measurement();
     let mut id = 0;
     for _ in 0..25 {
         let now = net.now();
@@ -299,54 +305,62 @@ fn trace_reconstructs_a_circuit_lifecycle() {
         net.run(25);
     }
     assert!(net.drain(5_000));
+    net.end_measurement();
     let conn = *net.net.nodes[src.index()]
         .registry
         .get(dst)
         .expect("circuit");
+    let report = net.net.take_telemetry().expect("telemetry armed");
+    assert_eq!(report.dropped, 0, "event ring wrapped");
+    let events = &report.events;
 
-    // Reservations recorded at source, intermediates and destination.
-    let reserved_at: Vec<_> = net
-        .net
-        .nodes
+    // Reservations recorded at source, intermediates and destination: one
+    // `CircuitSetup` carrying the connection's path id per hop.
+    let setups: Vec<NodeId> = events
         .iter()
-        .filter(|n| {
-            n.router.trace.iter().any(|(_, e)| {
-                matches!(e, noc_sim::TraceEvent::Reserved { path_id, .. } if *path_id == conn.path_id)
-            })
-        })
-        .map(|n| n.id())
+        .filter(|e| e.kind == EventKind::CircuitSetup && e.id == conn.path_id)
+        .map(|e| NodeId(e.node))
         .collect();
-    assert_eq!(
-        reserved_at.len() as u32,
-        mesh.hops(src, dst) + 1,
-        "one reservation per hop"
-    );
-    assert!(reserved_at.contains(&src) && reserved_at.contains(&dst));
+    assert_eq!(setups.len(), hops + 1, "one reservation per hop");
+    let mut at = setups.clone();
+    at.sort();
+    at.dedup();
+    assert_eq!(at.len(), hops + 1, "reservations at distinct routers");
+    assert!(setups.contains(&src) && setups.contains(&dst));
 
-    // A traced circuit message traverses exactly hops+1 routers.
-    let traversals: usize = net
+    // A circuit message traverses exactly hops+1 routers: every flit takes
+    // one link per hop and ejects at the destination, and none of it ever
+    // touches the packet pipeline (no VA, SA or switch-traversal event).
+    let cs = net
         .net
-        .nodes
+        .delivered_log
         .iter()
-        .map(|n| {
-            n.router
-                .trace
-                .iter()
-                .filter(|(_, e)| {
-                    matches!(
-                        e,
-                        noc_sim::TraceEvent::Traversed {
-                            circuit: true,
-                            seq: 0,
-                            ..
-                        }
-                    )
-                })
-                .count()
-        })
-        .sum();
-    assert!(
-        traversals >= (mesh.hops(src, dst) + 1) as usize,
-        "head flit traversals missing"
-    );
+        .find(|d| d.switching == Switching::Circuit && d.src == src && d.dst == dst)
+        .expect("a message rode the circuit");
+    let of_pkt = |k: EventKind| {
+        events
+            .iter()
+            .filter(move |e| e.kind == k && e.id == cs.id.0)
+            .map(|e| NodeId(e.node))
+    };
+    let flits = cs.len_flits as usize;
+    let mut link_nodes: Vec<NodeId> = of_pkt(EventKind::LinkTraverse).collect();
+    assert_eq!(link_nodes.len(), hops * flits, "one link traversal per hop");
+    link_nodes.sort();
+    link_nodes.dedup();
+    assert_eq!(link_nodes.len(), hops, "head flit traversals missing");
+    assert!(link_nodes.contains(&src) && !link_nodes.contains(&dst));
+    assert!(of_pkt(EventKind::Eject).all(|n| n == dst));
+    assert_eq!(of_pkt(EventKind::Eject).count(), flits);
+    for k in [
+        EventKind::VaGrant,
+        EventKind::SaGrant,
+        EventKind::SwitchTraversal,
+    ] {
+        assert_eq!(
+            of_pkt(k).count(),
+            0,
+            "circuit flit entered the pipeline: {k:?}"
+        );
+    }
 }

@@ -32,7 +32,9 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"NOCCKPT1";
 /// v2: the embedded snapshot moved to `SNAPSHOT_VERSION` 2 (TdmNode
 /// `pinned` table); bumping here too keys the warm-up cache away from
 /// stale v1 blobs.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// v3: the embedded snapshot moved to `SNAPSHOT_VERSION` 3 (SDM router
+/// state re-laid out around the shared pipeline).
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// A warm-up checkpoint: everything needed to resume (or fork) a
 /// synthetic scenario run after its warm-up phase.

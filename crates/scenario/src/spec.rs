@@ -461,12 +461,15 @@ impl ScenarioSpec {
         };
 
         let hetero = matches!(traffic, TrafficSpec::Hetero { .. });
+        // Mirrors the `Topology` constructor's cap: node ids are packed
+        // into u16 flit fields with u16::MAX reserved as "no node".
         let mesh = match v.get("mesh") {
             Some(m) => m
                 .as_u64()
-                .filter(|&k| (2..=256).contains(&k))
-                .ok_or_else(|| ScenarioError::Parse("\"mesh\" must be a side length".into()))?
-                as u16,
+                .filter(|&k| k >= 2 && k.saturating_mul(k) < u16::MAX as u64)
+                .ok_or_else(|| {
+                    ScenarioError::Parse("\"mesh\" must be a side length from 2 to 255".into())
+                })? as u16,
             None => 6,
         };
         if hetero && mesh != 6 {
@@ -1289,6 +1292,24 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.to_string().contains("6x6"), "{e}");
+    }
+
+    #[test]
+    fn mesh_side_is_capped_at_the_topology_node_id_limit() {
+        // 256×256 = 65,536 nodes overflows the packed 16-bit node ids; the
+        // validator must refuse it instead of letting `Topology` panic.
+        let spec = |k: u64| {
+            ScenarioSpec::parse(&format!(
+                r#"{{"backend": "PacketVc4", "mesh": {k}, "pattern": "UR", "rate": 0.1}}"#
+            ))
+        };
+        for k in [0, 1, 256, 1 << 40] {
+            let e = spec(k).unwrap_err();
+            assert!(matches!(e, ScenarioError::Parse(_)), "{e}");
+            assert!(e.to_string().contains("\"mesh\""), "{e}");
+        }
+        let ok = spec(255).expect("largest side under the cap");
+        assert_eq!(ok[0].mesh, 255);
     }
 
     #[test]

@@ -72,6 +72,13 @@ pub struct SdmNode {
     delivered: Vec<DeliveredPacket>,
     next_path_id: u64,
     plane_scan: u8,
+    /// Per-step destination list of [`SdmNode::pump_cs`]. Scratch only —
+    /// never snapshotted.
+    scratch_dsts: Vec<NodeId>,
+    /// Recycled CS-burst buffers (one per finished stream, at most one
+    /// per plane in use): new bursts refill these instead of allocating.
+    /// Scratch only — never snapshotted.
+    spare_flits: Vec<Vec<Flit>>,
 }
 
 impl SdmNode {
@@ -101,6 +108,8 @@ impl SdmNode {
             delivered: Vec::new(),
             next_path_id: 0,
             plane_scan: (id.0 % 3) as u8,
+            scratch_dsts: Vec::new(),
+            spare_flits: Vec::new(),
         }
     }
 
@@ -142,7 +151,7 @@ impl SdmNode {
 
     fn issue_setup(&mut self, now: Cycle, dst: NodeId, attempts: u8) {
         let Some(plane) = self.router.free_local_plane(self.plane_scan + attempts) else {
-            self.router.events.setup_failures += 1;
+            self.router.pipeline.events.setup_failures += 1;
             self.registry
                 .set_cooldown(dst, now, self.cfg.retry_cooldown);
             return;
@@ -173,7 +182,7 @@ impl SdmNode {
                 issued: now,
             },
         );
-        self.router.events.setup_attempts += 1;
+        self.router.pipeline.events.setup_attempts += 1;
         self.inject_queue.push_front(pkt);
     }
 
@@ -213,13 +222,15 @@ impl SdmNode {
     fn pump_cs(&mut self, now: Cycle) {
         // Start streams for idle circuits with queued work (insertion
         // order — deterministic across runs).
-        let startable: Vec<NodeId> = self
-            .cs_queues
-            .iter()
-            .filter(|(dst, q)| !q.is_empty() && !self.cs_streams.contains(*dst))
-            .map(|(dst, _)| dst)
-            .collect();
-        for dst in startable {
+        let mut dsts = std::mem::take(&mut self.scratch_dsts);
+        dsts.clear();
+        dsts.extend(
+            self.cs_queues
+                .iter()
+                .filter(|(dst, q)| !q.is_empty() && !self.cs_streams.contains(*dst))
+                .map(|(dst, _)| dst),
+        );
+        for &dst in &dsts {
             let Some(conn) = self.registry.get(dst).copied() else {
                 // Circuit vanished: drain to PS.
                 if let Some(q) = self.cs_queues.remove(dst) {
@@ -233,15 +244,14 @@ impl SdmNode {
                 .and_then(|q| q.pop_front())
                 .expect("non-empty");
             let len = pkt.len_flits.saturating_sub(1).max(1);
-            let mut shaped = pkt.clone();
+            let mut shaped = pkt;
             shaped.len_flits = len;
-            let flits = (0..len)
-                .map(|s| {
-                    let mut f = Flit::of_packet(&shaped, s, Switching::Circuit);
-                    f.vc = conn.slot as u8; // plane id
-                    f
-                })
-                .collect();
+            let mut flits = self.spare_flits.pop().unwrap_or_default();
+            flits.extend((0..len).map(|s| {
+                let mut f = Flit::of_packet(&shaped, s, Switching::Circuit);
+                f.vc = conn.slot as u8; // plane id
+                f
+            }));
             self.registry.touch(dst, conn.slot, now);
             self.cs_streams.insert(
                 dst,
@@ -253,22 +263,26 @@ impl SdmNode {
             );
         }
         // Advance active streams (plane spacing P).
-        let dsts: Vec<NodeId> = self.cs_streams.keys().collect();
-        for dst in dsts {
+        dsts.clear();
+        dsts.extend(self.cs_streams.keys());
+        for &dst in &dsts {
             let s = self.cs_streams.get_mut(dst).expect("present");
             if now < s.next_allowed {
                 continue;
             }
             let flit = s.flits[s.next];
-            let ok = self.router.inject_cs_local(now, flit);
-            assert!(ok, "SDM circuit reservation missing at {:?}", self.id);
-            let s = self.cs_streams.get_mut(dst).expect("present");
             s.next += 1;
             s.next_allowed = now + self.cfg.planes as Cycle;
-            if s.next == s.flits.len() {
-                self.cs_streams.remove(dst);
+            let done = s.next == s.flits.len();
+            let ok = self.router.inject_cs_local(now, flit);
+            assert!(ok, "SDM circuit reservation missing at {:?}", self.id);
+            if done {
+                let mut flits = self.cs_streams.remove(dst).expect("present").flits;
+                flits.clear();
+                self.spare_flits.push(flits);
             }
         }
+        self.scratch_dsts = dsts;
     }
 
     /// Pump packet-switched streams: up to one stream per VC, each spacing
@@ -356,11 +370,11 @@ impl NodeModel for SdmNode {
     }
 
     fn accept_credit(&mut self, _now: Cycle, from: Direction, credit: Credit) {
-        self.router.accept_credit(from, credit);
+        self.router.pipeline.accept_credit(from, credit);
     }
 
     fn step(&mut self, now: Cycle, out: &mut NodeOutputs) {
-        for vc in self.router.local_credits.drain(..) {
+        for vc in self.router.pipeline.local_credits.drain(..) {
             let c = &mut self.credits[vc as usize];
             debug_assert!(*c < self.cfg.net.router.buf_depth);
             *c += 1;
@@ -388,11 +402,11 @@ impl NodeModel for SdmNode {
         self.pump_cs(now);
         self.pump_ps(now);
         self.router.step(now, out);
-        let mut ejected = std::mem::take(&mut self.router.ejected);
+        let mut ejected = std::mem::take(&mut self.router.pipeline.ejected);
         for flit in ejected.drain(..) {
             self.accept_ejected(now, flit);
         }
-        self.router.ejected = ejected;
+        self.router.pipeline.ejected = ejected;
     }
 
     fn attach_arena(&mut self, arena: &Arc<ConfigArena>) {
@@ -401,19 +415,22 @@ impl NodeModel for SdmNode {
     }
 
     fn flit_slab_rings(&self) -> Option<(usize, u8)> {
-        Some((self.router.slab_rings(), self.router.cfg.buf_depth))
+        Some((
+            self.router.pipeline.slab_rings(),
+            self.router.pipeline.cfg.buf_depth,
+        ))
     }
 
     fn attach_flit_slab(&mut self, region: noc_sim::SlabRegion) {
-        self.router.attach_slab(region);
+        self.router.pipeline.attach_slab(region);
     }
 
     fn set_trace_sink(&mut self, sink: TraceSink) {
-        self.router.trace = sink;
+        self.router.pipeline.trace = sink;
     }
 
     fn take_trace(&mut self) -> Option<Box<RingSink>> {
-        self.router.trace.take()
+        self.router.pipeline.trace.take()
     }
 
     fn drain_delivered(&mut self, sink: &mut Vec<DeliveredPacket>) {
@@ -421,7 +438,7 @@ impl NodeModel for SdmNode {
     }
 
     fn events(&self) -> noc_sim::EnergyEvents {
-        self.router.events
+        self.router.pipeline.events
     }
 
     fn occupancy(&self) -> usize {
@@ -449,7 +466,7 @@ impl NodeModel for SdmNode {
 
     fn power_state(&self) -> PowerState {
         PowerState {
-            buffer_slots: self.router.powered_buffer_slots(),
+            buffer_slots: self.router.pipeline.powered_buffer_slots(),
             // The per-plane circuit tables are the SDM analogue of slot
             // tables: P entries per input port.
             slot_entries: Port::COUNT as u32 * self.cfg.planes as u32,
@@ -464,7 +481,7 @@ impl NodeModel for SdmNode {
         // `busy_until` timestamps only gate flits that would also show up
         // in the occupancy count, so they need no timer.
         if self.occupancy() != 0
-            || !self.router.local_credits.is_empty()
+            || !self.router.pipeline.local_credits.is_empty()
             || self.router.has_deferred_credits()
         {
             return None;

@@ -1,4 +1,4 @@
-//! The SDM hybrid router: a VC wormhole pipeline whose links are
+//! The SDM hybrid router: the shared VC wormhole pipeline whose links are
 //! partitioned into planes.
 //!
 //! Packet-switched flits bind their packet to one plane per output link and
@@ -8,16 +8,21 @@
 //! a per-plane reservation (`circuits[in_port][plane] → out_port`) and
 //! bypass buffering entirely. Plane 0 is never circuit-reserved, keeping
 //! the packet-switched network alive.
+//!
+//! The packet-switched stages are [`PsPipeline`]'s. The plane state is the
+//! pipeline's [`HybridCtrl`]: switch allocation admits a packet only where
+//! it has a usable plane, traversal binds it, and each input port
+//! nominates its VCs in a fixed priority order starting at `port % vcs`.
+//! Configuration packets (acks) route dimension-order, never west-first
+//! adaptive.
 
 use std::sync::Arc;
 
-use noc_sim::arbiter::RoundRobin;
 use noc_sim::routing::xy_route;
-use noc_sim::stats::EnergyEvents;
 use noc_sim::{
-    ConfigArena, ConfigKind, Credit, Cycle, EventKind, Flit, Mesh, MsgClass, NodeId, NodeOutputs,
-    Packet, PacketId, Port, RouterConfig, SlabRegion, Snap, SnapshotError, SnapshotReader,
-    SnapshotWriter, Switching, TraceSink, VcCtl, VcState,
+    ConfigArena, ConfigKind, Credit, Cycle, EventKind, Flit, HybridCtrl, Mesh, MsgClass, NodeId,
+    NodeOutputs, Packet, PacketId, Port, PsPipeline, RouterConfig, Snap, SnapshotError,
+    SnapshotReader, SnapshotWriter, Switching,
 };
 
 /// A circuit reservation at one router.
@@ -39,13 +44,6 @@ struct Plane {
     circuit: bool,
 }
 
-struct SdmOutPort {
-    alloc: Vec<Option<(u8, u8)>>,
-    credits: Vec<u8>,
-    planes: Vec<Plane>,
-    exists: bool,
-}
-
 noc_sim::impl_snap!(CircuitEntry { path_id, out, dst });
 noc_sim::impl_snap!(Plane {
     busy_until,
@@ -53,53 +51,69 @@ noc_sim::impl_snap!(Plane {
     circuit,
 });
 
-/// Which dimension a port's link runs in (0 = X, 1 = Y, 2 = none/local);
-/// used by the torus dateline class rule. Mirrors the PS pipeline.
-#[inline]
-fn port_dim(p: usize) -> u8 {
-    match Port::from_index(p) {
-        Port::Local => 2,
-        Port::North | Port::South => 1,
-        Port::East | Port::West => 0,
+/// The planes of every output link, flat over `out_port * P + plane`: the
+/// switching constraint the SDM router hands the packet pipeline.
+struct Planes {
+    per_link: u8,
+    planes: Vec<Plane>,
+}
+
+impl Planes {
+    fn at(&mut self, o: Port, k: usize) -> &mut Plane {
+        &mut self.planes[o.index() * self.per_link as usize + k]
+    }
+
+    fn is_circuit(&self, o: Port, k: usize) -> bool {
+        self.planes[o.index() * self.per_link as usize + k].circuit
+    }
+
+    /// A usable plane for `packet` on output `o` at `now`: the plane the
+    /// packet is already bound to (if idle), else any free unclaimed plane.
+    fn plane_for(&self, o: Port, packet: PacketId, now: Cycle) -> Option<usize> {
+        let n = self.per_link as usize;
+        let planes = &self.planes[o.index() * n..][..n];
+        if let Some(k) = planes.iter().position(|pl| pl.bound == Some(packet)) {
+            return (planes[k].busy_until <= now).then_some(k);
+        }
+        planes
+            .iter()
+            .position(|pl| !pl.circuit && pl.bound.is_none() && pl.busy_until <= now)
+    }
+}
+
+impl HybridCtrl for Planes {
+    const ROTATING_SA_INPUT: bool = false;
+
+    #[inline]
+    fn ps_admit(&self, now: Cycle, o: Port, packet: PacketId) -> bool {
+        self.plane_for(o, packet, now).is_some()
+    }
+
+    /// Bind and occupy the plane: `P` cycles of phit serialisation.
+    fn ps_traversed(&mut self, now: Cycle, o: Port, packet: PacketId, is_tail: bool) -> bool {
+        let k = self
+            .plane_for(o, packet, now)
+            .expect("SA checked plane availability");
+        let busy_until = now + self.per_link as Cycle;
+        let plane = self.at(o, k);
+        plane.busy_until = busy_until;
+        plane.bound = if is_tail { None } else { Some(packet) };
+        false
     }
 }
 
 /// The SDM hybrid router.
 pub struct SdmRouter {
-    pub id: NodeId,
-    pub mesh: Mesh,
-    pub cfg: RouterConfig,
-    planes_n: u8,
-    /// Torus dateline state: VCs below `vc_half` are class 0, the rest
-    /// class 1; zero on a mesh (no partition). Same contract as the PS
-    /// pipeline's dateline discipline.
-    vc_half: u8,
-    /// Whether the link out of each port crosses a torus wrap edge.
-    wrap_out: [bool; Port::COUNT],
-    /// Input VC buffers: one fixed-depth slab ring per VC, flat over
-    /// `port * vcs_per_port + vc`. Private at construction; the harness
-    /// swaps in a carve of the network-owned slab via
-    /// [`SdmRouter::attach_slab`].
-    buf: SlabRegion,
-    /// Per-VC pipeline control rows, parallel to the slab rings.
-    ctl: Vec<VcCtl>,
-    outputs: Vec<SdmOutPort>,
-    /// `circuits[in_port][plane]`.
-    circuits: Vec<Vec<Option<CircuitEntry>>>,
-    va_arb: Vec<RoundRobin>,
-    sa_arb_out: Vec<RoundRobin>,
+    pub pipeline: PsPipeline,
+    planes: Planes,
+    /// Circuit table, flat over `in_port * P + plane`.
+    circuits: Vec<Option<CircuitEntry>>,
     /// CS flits arriving this cycle, with resolved outputs.
     cs_incoming: Vec<(Flit, Port)>,
-    pub events: EnergyEvents,
-    pub ejected: Vec<Flit>,
     pub cs_ejected: Vec<Flit>,
-    pub local_credits: Vec<u8>,
     pub protocol_out: Vec<Packet>,
     /// Credits owed upstream for configuration flits consumed on arrival.
     pending_credits: Vec<(Port, u8)>,
-    /// Flit-lifecycle telemetry sink (a copied-discriminant branch when
-    /// disabled).
-    pub trace: TraceSink,
     /// Configuration-payload slab the `ConfigRef`s of in-flight flits
     /// resolve against; swapped for the network-wide arena on attach.
     arena: Arc<ConfigArena>,
@@ -109,104 +123,33 @@ pub struct SdmRouter {
 impl SdmRouter {
     pub fn new(id: NodeId, mesh: Mesh, cfg: RouterConfig, planes: u8) -> Self {
         assert!(planes >= 2, "SDM needs at least one PS and one CS plane");
-        let vcs = cfg.vcs_per_port as usize;
-        if mesh.is_torus() {
-            assert!(
-                cfg.vcs_per_port >= 2 && cfg.vcs_per_port.is_multiple_of(2),
-                "torus dateline routing splits the VC range into two \
-                 classes: vcs_per_port must be even and at least 2"
-            );
-        }
-        let vc_half = if mesh.is_torus() {
-            cfg.vcs_per_port / 2
-        } else {
-            0
+        // Acks route dimension-order like every other SDM packet.
+        let cfg = RouterConfig {
+            adaptive_config_routing: false,
+            ..cfg
         };
-        let mut wrap_out = [false; Port::COUNT];
-        for p in Port::ALL {
-            if let Some(d) = p.direction() {
-                wrap_out[p.index()] = mesh.wraps(id, d);
-            }
-        }
         SdmRouter {
-            id,
-            mesh,
-            cfg,
-            planes_n: planes,
-            vc_half,
-            wrap_out,
-            buf: SlabRegion::private(Port::COUNT * vcs, cfg.buf_depth),
-            ctl: vec![
-                VcCtl {
-                    state: VcState::Idle,
-                    stage_cycle: 0,
-                };
-                Port::COUNT * vcs
-            ],
-            outputs: Port::ALL
-                .iter()
-                .map(|&p| SdmOutPort {
-                    alloc: vec![None; vcs],
-                    credits: vec![cfg.buf_depth; vcs],
-                    planes: vec![Plane::default(); planes as usize],
-                    exists: match p.direction() {
-                        None => true,
-                        Some(d) => mesh.neighbor(id, d).is_some(),
-                    },
-                })
-                .collect(),
-            circuits: (0..Port::COUNT)
-                .map(|_| vec![None; planes as usize])
-                .collect(),
-            va_arb: (0..Port::COUNT)
-                .map(|_| RoundRobin::new(Port::COUNT * vcs))
-                .collect(),
-            sa_arb_out: (0..Port::COUNT)
-                .map(|_| RoundRobin::new(Port::COUNT))
-                .collect(),
+            pipeline: PsPipeline::new(id, mesh, cfg),
+            planes: Planes {
+                per_link: planes,
+                planes: vec![Plane::default(); Port::COUNT * planes as usize],
+            },
+            circuits: vec![None; Port::COUNT * planes as usize],
             cs_incoming: Vec::with_capacity(8),
-            events: EnergyEvents::default(),
-            ejected: Vec::with_capacity(8),
             cs_ejected: Vec::with_capacity(8),
-            local_credits: Vec::with_capacity(8),
             protocol_out: Vec::with_capacity(8),
             pending_credits: Vec::with_capacity(8),
-            trace: TraceSink::Disabled,
             arena: Arc::new(ConfigArena::new()),
             next_protocol_id: 0,
         }
     }
 
+    pub fn id(&self) -> NodeId {
+        self.pipeline.id
+    }
+
     pub fn planes(&self) -> u8 {
-        self.planes_n
-    }
-
-    /// Flat slab-ring index of input VC `vc` at port `p`.
-    #[inline]
-    fn vci(&self, p: usize, vc: usize) -> usize {
-        p * self.cfg.vcs_per_port as usize + vc
-    }
-
-    /// Number of slab rings this router needs (one per input VC).
-    pub fn slab_rings(&self) -> usize {
-        self.ctl.len()
-    }
-
-    /// Adopt a carve of the network-owned flit slab. Must be called before
-    /// any flit is buffered — the private construction-time region is
-    /// dropped, not migrated.
-    pub fn attach_slab(&mut self, region: SlabRegion) {
-        assert!(
-            (0..self.ctl.len()).all(|i| self.buf.is_empty(i)),
-            "attach_slab on a non-empty router"
-        );
-        assert_eq!(region.rings(), self.ctl.len(), "slab region ring count");
-        assert_eq!(
-            region.depth(),
-            self.cfg.buf_depth as usize,
-            "slab region depth"
-        );
-        self.buf = region;
+        self.planes.per_link
     }
 
     /// The configuration-payload arena this router resolves against.
@@ -219,13 +162,17 @@ impl SdmRouter {
         self.arena = arena;
     }
 
+    fn circuit(&mut self, port: Port, plane: usize) -> &mut Option<CircuitEntry> {
+        &mut self.circuits[port.index() * self.planes.per_link as usize + plane]
+    }
+
     /// The circuit table entry at (`port`, `plane`).
     pub fn circuit_at(&self, port: Port, plane: u8) -> Option<&CircuitEntry> {
-        self.circuits[port.index()][plane as usize].as_ref()
+        self.circuits[port.index() * self.planes.per_link as usize + plane as usize].as_ref()
     }
 
     fn protocol_packet_id(&mut self) -> PacketId {
-        let id = (3u64 << 62) | ((self.id.0 as u64) << 40) | self.next_protocol_id;
+        let id = (3u64 << 62) | ((self.id().0 as u64) << 40) | self.next_protocol_id;
         self.next_protocol_id += 1;
         PacketId(id)
     }
@@ -234,13 +181,13 @@ impl SdmRouter {
         if flit.switching() == Switching::Circuit {
             // flit.vc carries the plane id on circuit-switched flits.
             let plane = flit.vc;
-            let entry = self.circuits[port.index()][plane as usize].unwrap_or_else(|| {
+            let entry = self.circuit_at(port, plane).copied().unwrap_or_else(|| {
                 panic!(
                     "CS flit on unreserved plane {plane} at {:?} port {port:?}",
-                    self.id
+                    self.id()
                 )
             });
-            self.events.cs_latch_writes += 1;
+            self.pipeline.events.cs_latch_writes += 1;
             self.cs_incoming.push((flit, entry.out));
             return;
         }
@@ -253,143 +200,119 @@ impl SdmRouter {
                 _ => {}
             }
         }
-        let i = self.vci(port.index(), flit.vc as usize);
-        assert!(self.buf.len(i) < self.cfg.buf_depth as usize, "VC overflow");
-        self.buf.push_back(i, flit);
-        self.events.buffer_writes += 1;
+        self.pipeline.accept_flit(now, port, flit);
     }
 
     /// Inject a circuit-switched flit from the local NIC.
     pub fn inject_cs_local(&mut self, _now: Cycle, flit: Flit) -> bool {
-        let plane = flit.vc;
-        let Some(entry) = self.circuits[Port::Local.index()][plane as usize] else {
+        let Some(entry) = self.circuit_at(Port::Local, flit.vc).copied() else {
             return false;
         };
-        self.events.cs_latch_writes += 1;
+        self.pipeline.events.cs_latch_writes += 1;
         self.cs_incoming.push((flit, entry.out));
         true
     }
 
-    /// Return the buffer credit of a configuration flit consumed on
-    /// arrival (see the TDM router for the rationale).
-    fn consume_config_credit(&mut self, in_port: Port, vc: u8) {
+    /// A configuration flit ends here: count it, release its payload and
+    /// return the buffer credit it consumed on arrival (see the TDM router
+    /// for the rationale).
+    fn consume_config(&mut self, in_port: Port, flit: Flit) {
+        self.pipeline.events.config_flits_delivered += 1;
+        self.arena.free(flit.config);
         match in_port {
-            Port::Local => self.local_credits.push(vc),
-            p => self.pending_credits.push((p, vc)),
+            Port::Local => self.pipeline.local_credits.push(flit.vc),
+            p => self.pending_credits.push((p, flit.vc)),
         }
     }
 
     fn process_config(&mut self, now: Cycle, in_port: Port, mut flit: Flit) {
-        let kind = self.arena.get(flit.config);
-        match kind {
+        let id = self.pipeline.id.0;
+        match self.arena.get(flit.config) {
             ConfigKind::Setup(info) => {
                 let plane = info.slot as usize;
-                let out = if info.dst == self.id {
+                let out = if info.dst == self.pipeline.id {
                     Port::Local
                 } else {
-                    xy_route(&self.mesh, self.id, info.dst)
+                    xy_route(&self.pipeline.mesh, self.pipeline.id, info.dst)
                 };
                 let ok = plane >= 1
-                    && plane < self.planes_n as usize
-                    && self.circuits[in_port.index()][plane].is_none()
-                    && (out == Port::Local || !self.outputs[out.index()].planes[plane].circuit);
-                if ok {
-                    self.circuits[in_port.index()][plane] = Some(CircuitEntry {
-                        path_id: info.path_id,
-                        out,
-                        dst: info.dst,
-                    });
-                    self.events.slot_updates += 1;
-                    self.trace.record(
-                        now,
-                        self.id.0,
-                        EventKind::CircuitSetup,
-                        in_port.index() as u8,
-                        info.path_id,
-                    );
-                    if out == Port::Local {
-                        self.events.config_flits_delivered += 1;
-                        self.arena.free(flit.config);
-                        self.consume_config_credit(in_port, flit.vc);
-                        self.emit_ack(now, info, true);
-                    } else {
-                        self.outputs[out.index()].planes[plane].circuit = true;
-                        // The plane id is hop-invariant, so the forwarded
-                        // flit keeps its arena handle unchanged.
-                        flit.set_forced_out(Some(out));
-                        self.buffer_config(in_port, flit);
-                    }
-                } else {
-                    self.events.setup_failures += 1;
-                    self.events.config_flits_delivered += 1;
-                    self.arena.free(flit.config);
-                    self.consume_config_credit(in_port, flit.vc);
+                    && plane < self.planes.per_link as usize
+                    && self.circuit_at(in_port, plane as u8).is_none()
+                    && (out == Port::Local || !self.planes.is_circuit(out, plane));
+                if !ok {
+                    self.pipeline.events.setup_failures += 1;
+                    self.consume_config(in_port, flit);
                     self.emit_ack(now, info, false);
+                    return;
+                }
+                *self.circuit(in_port, plane) = Some(CircuitEntry {
+                    path_id: info.path_id,
+                    out,
+                    dst: info.dst,
+                });
+                self.pipeline.events.slot_updates += 1;
+                self.pipeline.trace.record(
+                    now,
+                    id,
+                    EventKind::CircuitSetup,
+                    in_port.index() as u8,
+                    info.path_id,
+                );
+                if out == Port::Local {
+                    self.consume_config(in_port, flit);
+                    self.emit_ack(now, info, true);
+                } else {
+                    self.planes.at(out, plane).circuit = true;
+                    // The plane id is hop-invariant, so the forwarded flit
+                    // keeps its arena handle unchanged.
+                    flit.set_forced_out(Some(out));
+                    self.pipeline.accept_flit(now, in_port, flit);
                 }
             }
             ConfigKind::Teardown(info) => {
-                let slot = self.circuits[in_port.index()]
+                let n = self.planes.per_link as usize;
+                let row = &mut self.circuits[in_port.index() * n..][..n];
+                let Some(plane) = row
                     .iter()
-                    .position(|e| e.is_some_and(|e| e.path_id == info.path_id));
-                match slot {
-                    Some(plane) => {
-                        let e = self.circuits[in_port.index()][plane]
-                            .take()
-                            .expect("present");
-                        self.events.slot_updates += 1;
-                        self.trace.record(
-                            now,
-                            self.id.0,
-                            EventKind::CircuitTeardown,
-                            in_port.index() as u8,
-                            info.path_id,
-                        );
-                        if e.out == Port::Local {
-                            self.events.config_flits_delivered += 1;
-                            self.arena.free(flit.config);
-                            self.consume_config_credit(in_port, flit.vc);
-                        } else {
-                            self.outputs[e.out.index()].planes[plane].circuit = false;
-                            // Teardown payloads are hop-invariant too.
-                            flit.set_forced_out(Some(e.out));
-                            self.buffer_config(in_port, flit);
-                        }
-                    }
-                    None => {
-                        self.events.config_flits_delivered += 1;
-                        self.arena.free(flit.config);
-                        self.consume_config_credit(in_port, flit.vc);
-                    }
+                    .position(|e| e.is_some_and(|e| e.path_id == info.path_id))
+                else {
+                    self.consume_config(in_port, flit);
+                    return;
+                };
+                let e = row[plane].take().expect("present");
+                self.pipeline.events.slot_updates += 1;
+                self.pipeline.trace.record(
+                    now,
+                    id,
+                    EventKind::CircuitTeardown,
+                    in_port.index() as u8,
+                    info.path_id,
+                );
+                if e.out == Port::Local {
+                    self.consume_config(in_port, flit);
+                } else {
+                    self.planes.at(e.out, plane).circuit = false;
+                    // Teardown payloads are hop-invariant too.
+                    flit.set_forced_out(Some(e.out));
+                    self.pipeline.accept_flit(now, in_port, flit);
                 }
             }
             ConfigKind::Ack { .. } => unreachable!("acks are routed"),
         }
     }
 
-    /// Buffer a processed configuration flit at the port it arrived on (it
-    /// consumed that port's upstream credit, so the slot is guaranteed).
-    fn buffer_config(&mut self, in_port: Port, flit: Flit) {
-        let i = self.vci(in_port.index(), flit.vc as usize);
-        assert!(
-            self.buf.len(i) < self.cfg.buf_depth as usize,
-            "config buffering overflow"
-        );
-        self.buf.push_back(i, flit);
-        self.events.buffer_writes += 1;
-    }
-
     fn emit_ack(&mut self, now: Cycle, info: noc_sim::SetupInfo, success: bool) {
         let id = self.protocol_packet_id();
-        self.trace.record(
+        self.pipeline.trace.record(
             now,
-            self.id.0,
+            self.pipeline.id.0,
             EventKind::CircuitAck,
             success as u8,
             info.path_id,
         );
         let pkt = Packet::config(
             id,
-            self.id,
+            self.pipeline.id,
             info.src,
             ConfigKind::Ack { info, success },
             now,
@@ -397,6 +320,8 @@ impl SdmRouter {
         self.protocol_out.push(pkt);
     }
 
+    /// Advance one cycle: the circuit-switched bypass, then the packet
+    /// pipeline under the plane constraints.
     pub fn step(&mut self, now: Cycle, out: &mut NodeOutputs) {
         // Credits for configuration flits consumed on arrival.
         for (port, vc) in self.pending_credits.drain(..) {
@@ -407,296 +332,20 @@ impl SdmRouter {
         }
 
         // Circuit-switched bypass: single-cycle crossbar per hop.
-        for (mut flit, o) in self.cs_incoming.drain(..) {
-            self.events.xbar_traversals += 1;
-            match o.direction() {
-                Some(d) => {
-                    flit.hops += 1;
-                    self.events.link_flits += 1;
-                    self.trace.record(
-                        now,
-                        self.id.0,
-                        EventKind::LinkTraverse,
-                        o.index() as u8,
-                        flit.packet.0,
-                    );
-                    out.flits.push((d, flit));
-                }
-                None => {
-                    self.events.cs_flits_delivered += 1;
-                    self.trace.record(
-                        now,
-                        self.id.0,
-                        EventKind::Eject,
-                        Port::Local.index() as u8,
-                        flit.packet.0,
-                    );
-                    self.cs_ejected.push(flit);
-                }
-            }
+        for (flit, o) in self.cs_incoming.drain(..) {
+            self.pipeline
+                .circuit_traverse(now, flit, o, out, &mut self.cs_ejected);
         }
 
-        self.refresh_rc(now);
-        self.do_va(now);
-        self.do_sa_st(now, out);
-    }
-
-    fn refresh_rc(&mut self, now: Cycle) {
-        // Flat ring order is (port, vc) lexicographic — identical to the
-        // old nested iteration.
-        for i in 0..self.ctl.len() {
-            if self.ctl[i].state != VcState::Idle {
-                continue;
-            }
-            let Some(&front) = self.buf.front(i) else {
-                continue;
-            };
-            if !front.kind().is_head() {
-                continue;
-            }
-            let out_port = match front.forced_out() {
-                Some(f) => f,
-                None => xy_route(&self.mesh, self.id, front.dst()),
-            };
-            self.buf.front_mut(i).expect("front").set_forced_out(None);
-            self.ctl[i].state = VcState::Waiting { out: out_port };
-            self.ctl[i].stage_cycle = now;
-        }
-    }
-
-    fn do_va(&mut self, now: Cycle) {
-        let vcs = self.cfg.vcs_per_port as usize;
-        debug_assert!(Port::COUNT * vcs <= 64, "too many VCs per port");
-        let torus = self.vc_half > 0;
-        let half = self.vc_half as usize;
-        for o in 0..Port::COUNT {
-            if !self.outputs[o].exists {
-                continue;
-            }
-            // On a torus a second mask marks the requesters whose next-hop
-            // VC class is 1: continuing in the same dimension carries the
-            // inbound class (encoded in the input VC index), crossing the
-            // wrap link sets it, and a dimension switch or local input
-            // resets it to 0 (same rule as the PS pipeline).
-            let mut reqs = 0u64;
-            let mut class1 = 0u64;
-            let partitioned = torus && o != Port::Local.index();
-            for p in 0..Port::COUNT {
-                for vc in 0..vcs {
-                    let ctl = self.ctl[p * vcs + vc];
-                    if let VcState::Waiting { out } = ctl.state {
-                        if out.index() == o && ctl.stage_cycle < now {
-                            let bit = 1u64 << (p * vcs + vc);
-                            reqs |= bit;
-                            if partitioned {
-                                let class_in = p != Port::Local.index() && vc >= half;
-                                let same_dim = port_dim(p) == port_dim(o);
-                                if (same_dim && class_in) || self.wrap_out[o] {
-                                    class1 |= bit;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if reqs == 0 {
-                continue;
-            }
-            for v in 0..vcs {
-                if self.outputs[o].alloc[v].is_some() {
-                    continue;
-                }
-                // Dateline partition: downstream VCs below `half` only
-                // serve class-0 packets, the rest only class 1. Ejection
-                // (Local) grants from the full set.
-                let eligible = if partitioned {
-                    if v < half {
-                        reqs & !class1
-                    } else {
-                        reqs & class1
-                    }
-                } else {
-                    reqs
-                };
-                let Some(w) = self.va_arb[o].grant_mask(eligible) else {
-                    if eligible == reqs {
-                        break;
-                    }
-                    continue;
-                };
-                reqs &= !(1 << w);
-                let (p, vc) = (w / vcs, w % vcs);
-                let ctl = &mut self.ctl[w];
-                let VcState::Waiting { out } = ctl.state else {
-                    unreachable!()
-                };
-                ctl.state = VcState::Active {
-                    out,
-                    out_vc: v as u8,
-                };
-                ctl.stage_cycle = now;
-                self.outputs[o].alloc[v] = Some((p as u8, vc as u8));
-                self.events.va_ops += 1;
-                if self.trace.wants(EventKind::VaGrant) {
-                    let pkt = self.buf.front(w).map_or(0, |f| f.packet.0);
-                    self.trace
-                        .record(now, self.id.0, EventKind::VaGrant, o as u8, pkt);
-                }
-            }
-        }
-    }
-
-    /// A usable plane for `packet` on output `o` at `now`: the plane the
-    /// packet is already bound to (if idle), else any free unclaimed plane.
-    fn plane_for(&self, o: usize, packet: PacketId, now: Cycle) -> Option<usize> {
-        let planes = &self.outputs[o].planes;
-        if let Some(k) = planes.iter().position(|pl| pl.bound == Some(packet)) {
-            return (planes[k].busy_until <= now).then_some(k);
-        }
-        planes
-            .iter()
-            .position(|pl| !pl.circuit && pl.bound.is_none() && pl.busy_until <= now)
-    }
-
-    fn do_sa_st(&mut self, now: Cycle, out: &mut NodeOutputs) {
-        let vcs = self.cfg.vcs_per_port as usize;
-        // Phase 1: one candidate per input port.
-        let mut candidates: [Option<(usize, Port, u8)>; Port::COUNT] = [None; Port::COUNT];
-        for (p, cand) in candidates.iter_mut().enumerate() {
-            let mut chosen = None;
-            for off in 0..vcs {
-                let vc = (p + off) % vcs; // cheap rotation
-                let i = p * vcs + vc;
-                let ctl = self.ctl[i];
-                let VcState::Active { out: o, out_vc } = ctl.state else {
-                    continue;
-                };
-                if ctl.stage_cycle >= now {
-                    continue;
-                }
-                let Some(front) = self.buf.front(i) else {
-                    continue;
-                };
-                if o != Port::Local && self.outputs[o.index()].credits[out_vc as usize] == 0 {
-                    continue;
-                }
-                if self.plane_for(o.index(), front.packet, now).is_none() {
-                    continue;
-                }
-                chosen = Some((vc, o, out_vc));
-                break;
-            }
-            if let Some((vc, _, _)) = chosen {
-                self.events.sa_ops += 1;
-                if self.trace.wants(EventKind::SaGrant) {
-                    let pkt = self.buf.front(p * vcs + vc).map_or(0, |f| f.packet.0);
-                    self.trace
-                        .record(now, self.id.0, EventKind::SaGrant, p as u8, pkt);
-                }
-            }
-            *cand = chosen;
-        }
-        // Phase 2: one grant per output port.
-        for o in Port::ALL {
-            let mut mask = 0u64;
-            for (p, c) in candidates.iter().enumerate() {
-                if matches!(c, Some((_, op, _)) if *op == o) {
-                    mask |= 1 << p;
-                }
-            }
-            let Some(p) = self.sa_arb_out[o.index()].grant_mask(mask) else {
-                continue;
-            };
-            let (vc, _, out_vc) = candidates[p].unwrap();
-            self.traverse(now, p, vc, o, out_vc, out);
-        }
-    }
-
-    fn traverse(
-        &mut self,
-        now: Cycle,
-        in_port: usize,
-        in_vc: usize,
-        out_port: Port,
-        out_vc: u8,
-        out: &mut NodeOutputs,
-    ) {
-        let i = self.vci(in_port, in_vc);
-        let mut flit = self.buf.pop_front(i).expect("granted empty VC");
-        let is_tail = flit.kind().is_tail();
-        if is_tail {
-            self.ctl[i].state = VcState::Idle;
-            self.ctl[i].stage_cycle = now;
-            self.outputs[out_port.index()].alloc[out_vc as usize] = None;
-        }
-        self.events.buffer_reads += 1;
-        self.events.xbar_traversals += 1;
-        self.trace.record(
-            now,
-            self.id.0,
-            EventKind::SwitchTraversal,
-            in_port as u8,
-            flit.packet.0,
-        );
-
-        // Bind and occupy the plane: P cycles of phit serialisation.
-        let o = out_port.index();
-        let k = self
-            .plane_for(o, flit.packet, now)
-            .expect("SA checked plane availability");
-        let plane = &mut self.outputs[o].planes[k];
-        plane.busy_until = now + self.planes_n as Cycle;
-        plane.bound = if is_tail { None } else { Some(flit.packet) };
-
-        match Port::from_index(in_port).direction() {
-            Some(d) => out.credits.push((d, Credit { vc: in_vc as u8 })),
-            None => self.local_credits.push(in_vc as u8),
-        }
-
-        flit.vc = out_vc;
-        match out_port.direction() {
-            Some(d) => {
-                self.outputs[o].credits[out_vc as usize] -= 1;
-                flit.hops += 1;
-                self.events.link_flits += 1;
-                self.trace.record(
-                    now,
-                    self.id.0,
-                    EventKind::LinkTraverse,
-                    out_port.index() as u8,
-                    flit.packet.0,
-                );
-                out.flits.push((d, flit));
-            }
-            None => {
-                match flit.class() {
-                    MsgClass::Config => self.events.config_flits_delivered += 1,
-                    MsgClass::Data => self.events.ps_flits_delivered += 1,
-                }
-                self.trace.record(
-                    now,
-                    self.id.0,
-                    EventKind::Eject,
-                    Port::Local.index() as u8,
-                    flit.packet.0,
-                );
-                self.ejected.push(flit);
-            }
-        }
-    }
-
-    pub fn accept_credit(&mut self, dir: noc_sim::Direction, credit: Credit) {
-        let out = &mut self.outputs[dir.as_port().index()];
-        debug_assert!(out.credits[credit.vc as usize] < self.cfg.buf_depth);
-        out.credits[credit.vc as usize] += 1;
+        self.pipeline.step(now, &mut self.planes, out);
     }
 
     /// A free circuit plane index at the local input (for new setups).
     pub fn free_local_plane(&self, from: u8) -> Option<u8> {
-        let n = self.planes_n;
+        let n = self.planes.per_link;
         (0..n)
             .map(|k| 1 + (from + k) % (n - 1).max(1))
-            .find(|&k| k < n && self.circuits[Port::Local.index()][k as usize].is_none())
+            .find(|&k| k < n && self.circuit_at(Port::Local, k).is_none())
     }
 
     /// Credits owed to upstream neighbours but not yet emitted — deferred
@@ -707,9 +356,8 @@ impl SdmRouter {
     }
 
     pub fn occupancy(&self) -> usize {
-        (0..self.ctl.len()).map(|i| self.buf.len(i)).sum::<usize>()
+        self.pipeline.occupancy()
             + self.cs_incoming.len()
-            + self.ejected.len()
             + self.cs_ejected.len()
             + self
                 .protocol_out
@@ -718,42 +366,16 @@ impl SdmRouter {
                 .sum::<usize>()
     }
 
-    /// Powered buffer flit slots (no VC gating in the SDM baseline).
-    pub fn powered_buffer_slots(&self) -> u32 {
-        Port::COUNT as u32 * self.cfg.vcs_per_port as u32 * self.cfg.buf_depth as u32
-    }
-
-    /// Serialise all mutable router state. Construction-derived fields
-    /// (geometry, `exists` flags, the arena, the trace sink) are skipped —
-    /// restore targets a freshly built router of the same configuration.
+    /// Serialise all mutable router state: the pipeline's, then the
+    /// SDM-only tables and queues. Construction-derived fields (geometry,
+    /// the arena, the trace sink) are skipped — restore targets a freshly
+    /// built router of the same configuration.
     pub fn save_state(&self, w: &mut SnapshotWriter) {
-        // Byte-compatible with the pre-slab `Vec<Vec<VcBuf>>` encoding:
-        // nested u64 counts, then per VC the ring in FIFO order (u64 length
-        // + flits), the state tag and the stage cycle (DESIGN.md §17).
-        let vcs = self.cfg.vcs_per_port as usize;
-        w.usize(Port::COUNT);
-        for p in 0..Port::COUNT {
-            w.usize(vcs);
-            for vc in 0..vcs {
-                let i = p * vcs + vc;
-                self.buf.save_ring(i, w);
-                self.ctl[i].state.save(w);
-                w.u64(self.ctl[i].stage_cycle);
-            }
-        }
-        for out in &self.outputs {
-            out.alloc.save(w);
-            out.credits.save(w);
-            out.planes.save(w);
-        }
+        self.pipeline.save_state(w);
+        self.planes.planes.save(w);
         self.circuits.save(w);
-        self.va_arb.save(w);
-        self.sa_arb_out.save(w);
         self.cs_incoming.save(w);
-        self.events.save(w);
-        self.ejected.save(w);
         self.cs_ejected.save(w);
-        self.local_credits.save(w);
         self.protocol_out.save(w);
         self.pending_credits.save(w);
         w.u64(self.next_protocol_id);
@@ -761,57 +383,16 @@ impl SdmRouter {
 
     /// Inverse of [`SdmRouter::save_state`].
     pub fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
-        let vcs = self.cfg.vcs_per_port as usize;
-        if r.seq_len()? != Port::COUNT {
-            return Err(SnapshotError::Corrupt("SDM input geometry"));
+        self.pipeline.load_state(r)?;
+        let planes: Vec<Plane> = Snap::load(r)?;
+        let circuits: Vec<Option<CircuitEntry>> = Snap::load(r)?;
+        if planes.len() != self.planes.planes.len() || circuits.len() != self.circuits.len() {
+            return Err(SnapshotError::Mismatch("SDM plane count"));
         }
-        for p in 0..Port::COUNT {
-            if r.seq_len()? != vcs {
-                return Err(SnapshotError::Corrupt("SDM input geometry"));
-            }
-            for vc in 0..vcs {
-                let i = p * vcs + vc;
-                self.buf.load_ring(i, r)?;
-                self.ctl[i].state = Snap::load(r)?;
-                self.ctl[i].stage_cycle = r.u64()?;
-            }
-        }
-        for out in &mut self.outputs {
-            let alloc: Vec<Option<(u8, u8)>> = Snap::load(r)?;
-            let credits: Vec<u8> = Snap::load(r)?;
-            let planes: Vec<Plane> = Snap::load(r)?;
-            if alloc.len() != out.alloc.len()
-                || credits.len() != out.credits.len()
-                || planes.len() != out.planes.len()
-            {
-                return Err(SnapshotError::Corrupt("SDM output geometry"));
-            }
-            out.alloc = alloc;
-            out.credits = credits;
-            out.planes = planes;
-        }
-        let circuits: Vec<Vec<Option<CircuitEntry>>> = Snap::load(r)?;
-        if circuits.len() != self.circuits.len()
-            || circuits
-                .iter()
-                .zip(&self.circuits)
-                .any(|(a, b)| a.len() != b.len())
-        {
-            return Err(SnapshotError::Corrupt("SDM circuit-table geometry"));
-        }
+        self.planes.planes = planes;
         self.circuits = circuits;
-        let va_arb: Vec<RoundRobin> = Snap::load(r)?;
-        let sa_arb_out: Vec<RoundRobin> = Snap::load(r)?;
-        if va_arb.len() != self.va_arb.len() || sa_arb_out.len() != self.sa_arb_out.len() {
-            return Err(SnapshotError::Corrupt("SDM arbiter count"));
-        }
-        self.va_arb = va_arb;
-        self.sa_arb_out = sa_arb_out;
         self.cs_incoming = Snap::load(r)?;
-        self.events = Snap::load(r)?;
-        self.ejected = Snap::load(r)?;
         self.cs_ejected = Snap::load(r)?;
-        self.local_credits = Snap::load(r)?;
         self.protocol_out = Snap::load(r)?;
         self.pending_credits = Snap::load(r)?;
         self.next_protocol_id = r.u64()?;
@@ -856,7 +437,7 @@ mod tests {
         // Same plane from another input toward the same output: conflict.
         let src2 = m.id(Coord::new(1, 0));
         r.accept_flit(1, Port::North, setup(r.arena(), src2, dst, 1, 2));
-        assert_eq!(r.events.setup_failures, 1);
+        assert_eq!(r.pipeline.events.setup_failures, 1);
         // A different plane works.
         r.accept_flit(2, Port::North, setup(r.arena(), src2, dst, 2, 3));
         assert!(r.circuit_at(Port::North, 2).is_some());
@@ -869,7 +450,7 @@ mod tests {
         let src = m.id(Coord::new(0, 1));
         let dst = m.id(Coord::new(3, 1));
         r.accept_flit(0, Port::West, setup(r.arena(), src, dst, 0, 1));
-        assert_eq!(r.events.setup_failures, 1);
+        assert_eq!(r.pipeline.events.setup_failures, 1);
         assert!(r.circuit_at(Port::West, 0).is_none());
     }
 
@@ -988,7 +569,7 @@ mod tests {
         let dst = m.id(Coord::new(3, 1));
         // Claim all CS planes at the local port.
         for (plane, pid) in [(1u16, 1u64), (2, 2), (3, 3)] {
-            r.accept_flit(0, Port::Local, setup(r.arena(), r.id, dst, plane, pid));
+            r.accept_flit(0, Port::Local, setup(r.arena(), r.id(), dst, plane, pid));
         }
         assert_eq!(r.free_local_plane(0), None);
     }

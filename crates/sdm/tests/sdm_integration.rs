@@ -187,7 +187,7 @@ fn sdm_behaviour_is_pinned_on_mesh_and_torus() {
                 lcg = lcg
                     .wrapping_mul(6_364_136_223_846_793_005)
                     .wrapping_add(1_442_695_040_888_963_407);
-                if (lcg >> 33) % 4 != 0 {
+                if !(lcg >> 33).is_multiple_of(4) {
                     continue;
                 }
                 let k = (lcg >> 40) as u32 % 3;

@@ -329,3 +329,39 @@ fn disk_cache_survives_service_restart() {
     assert_eq!(svc2.stats().sim_runs, 0, "restart answered from disk");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A spec the validator refuses reaches the client as an error frame; the
+/// server neither panics nor loses the request. `"mesh": 256` used to pass
+/// validation and then panic in the topology constructor, killing the
+/// worker thread without a frame.
+#[test]
+fn oversized_mesh_gets_an_error_frame_not_a_dead_worker() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_noc-serve"))
+        .args(["--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn noc-serve");
+    child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(
+            br#"{"op":"run","id":"big","spec":{"backend":"PacketVc4","mesh":256,"pattern":"UR","rate":0.01}}
+{"op":"stats"}
+"#,
+        )
+        .expect("write requests");
+    let out = child.wait_with_output().expect("noc-serve exits");
+    assert!(out.status.success(), "noc-serve failed: {out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 frames");
+    let frames: Vec<&str> = stdout.lines().collect();
+    assert_eq!(frames.len(), 2, "one frame per request: {frames:?}");
+    assert_eq!(frame_kind(frames[0]).as_deref(), Some("error"));
+    assert!(frames[0].contains("mesh"), "{}", frames[0]);
+    assert_eq!(frame_kind(frames[1]).as_deref(), Some("stats"));
+}

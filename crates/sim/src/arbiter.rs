@@ -1,5 +1,21 @@
 //! Round-robin arbiters used by the separable VC and switch allocators.
 
+/// The first set bit of `mask` at or after `start`, wrapping around to the
+/// low bits: a fixed-priority search that begins at `start`. Two
+/// `trailing_zeros` probes, no loop.
+#[inline]
+pub fn first_from(mask: u64, start: usize) -> Option<usize> {
+    if mask == 0 {
+        return None;
+    }
+    let ahead = mask >> start;
+    Some(if ahead != 0 {
+        start + ahead.trailing_zeros() as usize
+    } else {
+        mask.trailing_zeros() as usize
+    })
+}
+
 /// A round-robin arbiter over `n` requesters with a rotating priority
 /// pointer, as in canonical VC router allocators.
 ///
@@ -79,16 +95,10 @@ impl RoundRobin {
             self.n == 64 || mask >> self.n == 0,
             "request mask has bits beyond the requester count"
         );
-        if self.n == 0 || mask == 0 {
+        if self.n == 0 {
             return None;
         }
-        let start = (self.last + 1) % self.n;
-        let ahead = mask >> start;
-        let i = if ahead != 0 {
-            start + ahead.trailing_zeros() as usize
-        } else {
-            mask.trailing_zeros() as usize
-        };
+        let i = first_from(mask, (self.last + 1) % self.n)?;
         self.last = i;
         Some(i)
     }

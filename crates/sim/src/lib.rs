@@ -40,7 +40,6 @@ pub mod slab;
 pub mod snapshot;
 pub mod stats;
 pub mod topology;
-pub mod trace;
 
 // The telemetry substrate (re-exported so downstream crates need no
 // direct `noc-telemetry` edge for the common types).
@@ -62,8 +61,8 @@ pub use network::{NetTelemetry, Network};
 pub use nic::Nic;
 pub use node::{DeliveredKind, DeliveredPacket, NodeModel, NodeOutputs, PacketNode, PowerState};
 pub use router::{
-    GatingConfig, GatingMetric, HybridCtrl, NullCtrl, OutMeta, PacketRouter, PsOutput, PsPipeline,
-    VcCtl, VcGatingController, VcState,
+    GatingConfig, GatingMetric, HybridCtrl, NullCtrl, OutMeta, PacketRouter, PsPipeline, VcCtl,
+    VcGatingController, VcState,
 };
 pub use slab::{FlitSlab, RingMeta, SlabRegion};
 pub use snapshot::{
@@ -74,7 +73,6 @@ pub use stats::{
     ClassLatency, EnergyEvents, LatencyHistogram, LeakageIntegrals, NetStats, PerClassLatency,
 };
 pub use topology::{Mesh, TopoTables, Topology, TopologyKind, NO_NEIGHBOR};
-pub use trace::{Trace, TraceEvent};
 
 /// Simulation time, in router clock cycles.
 pub type Cycle = u64;

@@ -204,7 +204,7 @@ mod tests {
         let mut out = NodeOutputs::default();
         let mut transitions = Vec::new();
         for now in 0..35 {
-            p.step(now, &NullCtrl, &mut out);
+            p.step(now, &mut NullCtrl, &mut out);
             if let Some(n) = g.on_cycle(now, &mut p) {
                 transitions.push(n);
             }
@@ -226,7 +226,7 @@ mod tests {
         let mut g = VcGatingController::new(cfg);
         let mut out = NodeOutputs::default();
         for now in 0..200 {
-            p.step(now, &NullCtrl, &mut out);
+            p.step(now, &mut NullCtrl, &mut out);
             g.on_cycle(now, &mut p);
         }
         assert_eq!(p.active_vcs(), 2);
@@ -258,7 +258,7 @@ mod tests {
                     p.accept_flit(now, Port::West, f);
                 }
             }
-            p.step(now, &NullCtrl, &mut out);
+            p.step(now, &mut NullCtrl, &mut out);
             if let Some(n) = g.on_cycle(now, &mut p) {
                 assert!(n > 1);
                 grew = true;
@@ -278,7 +278,7 @@ mod tests {
         // High latencies → grow (from a reduced starting point).
         p.set_active_vcs(2);
         for now in 0..513 {
-            p.step(now, &NullCtrl, &mut out);
+            p.step(now, &mut NullCtrl, &mut out);
             for _ in 0..3 {
                 g.record_latency(90);
             }
@@ -292,7 +292,7 @@ mod tests {
         // Low latencies → shrink.
         let mut g = VcGatingController::new(cfg);
         for now in 0..513 {
-            p.step(now, &NullCtrl, &mut out);
+            p.step(now, &mut NullCtrl, &mut out);
             g.record_latency(10);
             if let Some(n) = g.on_cycle(now, &mut p) {
                 assert_eq!(n, 2, "low latency must remove a VC");
@@ -309,7 +309,7 @@ mod tests {
         let mut out = NodeOutputs::default();
         let mut transitions = Vec::new();
         for now in 0..2_000 {
-            p.step(now, &NullCtrl, &mut out);
+            p.step(now, &mut NullCtrl, &mut out);
             if let Some(n) = g.on_cycle(now, &mut p) {
                 transitions.push(n);
             }

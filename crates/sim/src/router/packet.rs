@@ -33,7 +33,7 @@ impl PacketRouter {
     }
 
     pub fn step(&mut self, now: Cycle, out: &mut NodeOutputs) {
-        self.pipeline.step(now, &NullCtrl, out);
+        self.pipeline.step(now, &mut NullCtrl, out);
     }
 }
 

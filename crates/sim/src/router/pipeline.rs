@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use noc_telemetry::{EventKind, TraceSink};
 
-use crate::arbiter::RoundRobin;
+use crate::arbiter::{first_from, RoundRobin};
 use crate::arena::ConfigArena;
 use crate::config::RouterConfig;
 use crate::flit::{Credit, Flit, MsgClass, PacketId};
@@ -41,7 +41,7 @@ use crate::stats::EnergyEvents;
 use crate::topology::Mesh;
 use crate::Cycle;
 
-use super::{HybridCtrl, PsOutput};
+use super::HybridCtrl;
 
 /// State of one input virtual channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -437,7 +437,7 @@ impl PsPipeline {
 
     /// Advance the pipeline one cycle. `ctrl` supplies the hybrid switching
     /// constraints ([`super::NullCtrl`] for a pure packet router).
-    pub fn step<C: HybridCtrl>(&mut self, now: Cycle, ctrl: &C, out: &mut NodeOutputs) {
+    pub fn step<C: HybridCtrl>(&mut self, now: Cycle, ctrl: &mut C, out: &mut NodeOutputs) {
         self.sample_utilization(now);
         // Stage gating on the candidate masks. Skipping a stage is
         // state-identical to running it over zero eligible VCs: the
@@ -680,12 +680,8 @@ impl PsPipeline {
     }
 
     /// Switch allocation (input-first separable) + switch traversal.
-    fn do_sa_st<C: HybridCtrl>(&mut self, now: Cycle, ctrl: &C, out: &mut NodeOutputs) {
+    fn do_sa_st<C: HybridCtrl>(&mut self, now: Cycle, ctrl: &mut C, out: &mut NodeOutputs) {
         let vcs = self.cfg.vcs_per_port as usize;
-        let mut avail = [PsOutput::Free; Port::COUNT];
-        for o in Port::ALL {
-            avail[o.index()] = ctrl.ps_output_state(now, o);
-        }
 
         // Phase 1: each input port nominates one eligible VC.
         let mut candidates: [Option<(u8, Port, u8)>; Port::COUNT] = [None; Port::COUNT];
@@ -706,14 +702,21 @@ impl PsPipeline {
                 if ctl.stage_cycle >= now || self.buf.is_empty(p * vcs + vc) {
                     continue;
                 }
-                if avail[out.index()] == PsOutput::Busy {
+                if out != Port::Local && self.out_credits[out.index() * vcs + out_vc as usize] == 0
+                {
                     continue;
                 }
-                if out == Port::Local || self.out_credits[out.index() * vcs + out_vc as usize] > 0 {
+                // An Active VC's front flit always belongs to its owner.
+                if ctrl.ps_admit(now, out, self.vc_owner[p * vcs + vc]) {
                     req_mask |= 1 << vc;
                 }
             }
-            if let Some(vc) = self.sa_arb_in[p].grant_mask(req_mask) {
+            let pick = if C::ROTATING_SA_INPUT {
+                self.sa_arb_in[p].grant_mask(req_mask)
+            } else {
+                first_from(req_mask, p % vcs)
+            };
+            if let Some(vc) = pick {
                 let VcState::Active { out, out_vc } = self.ctl[p * vcs + vc].state else {
                     unreachable!()
                 };
@@ -739,30 +742,23 @@ impl PsPipeline {
                 continue;
             };
             let (vc, _, out_vc) = candidates[p].unwrap();
-            self.traverse(
-                now,
-                Port::from_index(p),
-                vc,
-                o,
-                out_vc,
-                avail[o.index()],
-                out,
-            );
+            self.traverse(now, Port::from_index(p), vc, o, out_vc, ctrl, out);
         }
     }
 
     /// Switch traversal of one granted flit.
-    // All eight arguments are the (input, output, timing) coordinates of a
-    // single grant; bundling them into a struct would just rename the call.
+    // The arguments are the (input, output, timing) coordinates of a single
+    // grant plus the ctrl it reports to; bundling them into a struct would
+    // just rename the call.
     #[allow(clippy::too_many_arguments)]
-    fn traverse(
+    fn traverse<C: HybridCtrl>(
         &mut self,
         now: Cycle,
         in_port: Port,
         in_vc: u8,
         out_port: Port,
         out_vc: u8,
-        avail: PsOutput,
+        ctrl: &mut C,
         out: &mut NodeOutputs,
     ) {
         let i = self.vci(in_port.index(), in_vc as usize);
@@ -800,7 +796,7 @@ impl PsPipeline {
             in_port.index() as u8,
             flit.packet.0,
         );
-        if avail == PsOutput::ReservedIdle {
+        if ctrl.ps_traversed(now, out_port, flit.packet, is_tail) {
             self.events.slots_stolen += 1;
             self.trace.record(
                 now,
@@ -847,6 +843,46 @@ impl PsPipeline {
                     flit.packet.0,
                 );
                 self.ejected.push(flit);
+            }
+        }
+    }
+
+    /// Circuit-switched traversal of `flit`: one cycle through the
+    /// crossbar the hybrid router pre-configured toward `o`, no buffering.
+    /// Flits ejecting here go to `ejected`, the hybrid router's CS
+    /// ejection queue.
+    pub fn circuit_traverse(
+        &mut self,
+        now: Cycle,
+        mut flit: Flit,
+        o: Port,
+        out: &mut NodeOutputs,
+        ejected: &mut Vec<Flit>,
+    ) {
+        self.events.xbar_traversals += 1;
+        match o.direction() {
+            Some(d) => {
+                flit.hops += 1;
+                self.events.link_flits += 1;
+                self.trace.record(
+                    now,
+                    self.id.0,
+                    EventKind::LinkTraverse,
+                    o.index() as u8,
+                    flit.packet.0,
+                );
+                out.flits.push((d, flit));
+            }
+            None => {
+                self.events.cs_flits_delivered += 1;
+                self.trace.record(
+                    now,
+                    self.id.0,
+                    EventKind::Eject,
+                    Port::Local.index() as u8,
+                    flit.packet.0,
+                );
+                ejected.push(flit);
             }
         }
     }
@@ -1090,10 +1126,10 @@ mod tests {
         let mut out = NodeOutputs::default();
         // Cycle 10: RC. Cycle 11: VA. Cycle 12: SA+ST → emitted.
         for now in 10..12 {
-            r.step(now, &NullCtrl, &mut out);
+            r.step(now, &mut NullCtrl, &mut out);
             assert!(out.flits.is_empty(), "left too early at {now}");
         }
-        r.step(12, &NullCtrl, &mut out);
+        r.step(12, &mut NullCtrl, &mut out);
         assert_eq!(out.flits.len(), 1);
         let (dir, f) = &out.flits[0];
         assert_eq!(*dir, Direction::East);
@@ -1118,7 +1154,7 @@ mod tests {
         r.accept_flit(0, Port::West, f);
         let mut out = NodeOutputs::default();
         for now in 0..3 {
-            r.step(now, &NullCtrl, &mut out);
+            r.step(now, &mut NullCtrl, &mut out);
         }
         assert!(out.flits.is_empty());
         assert_eq!(r.ejected.len(), 1);
@@ -1127,14 +1163,16 @@ mod tests {
 
     #[test]
     fn busy_output_blocks_and_reserved_idle_counts_steal() {
-        struct FixedCtrl(PsOutput);
+        /// East is either blocked outright or reserved-but-idle.
+        struct FixedCtrl {
+            busy: bool,
+        }
         impl HybridCtrl for FixedCtrl {
-            fn ps_output_state(&self, _now: Cycle, o: Port) -> PsOutput {
-                if o == Port::East {
-                    self.0
-                } else {
-                    PsOutput::Free
-                }
+            fn ps_admit(&self, _now: Cycle, o: Port, _packet: PacketId) -> bool {
+                !(self.busy && o == Port::East)
+            }
+            fn ps_traversed(&mut self, _: Cycle, o: Port, _: PacketId, _: bool) -> bool {
+                o == Port::East
             }
         }
 
@@ -1147,17 +1185,17 @@ mod tests {
         r.accept_flit(0, Port::West, head_flit(m.id(Coord::new(0, 1)), dst, 0));
         let mut out = NodeOutputs::default();
         for now in 0..6 {
-            r.step(now, &FixedCtrl(PsOutput::Busy), &mut out);
+            r.step(now, &mut FixedCtrl { busy: true }, &mut out);
         }
         assert!(out.flits.is_empty());
         assert_eq!(r.occupancy(), 1);
 
-        // ReservedIdle: leaves, and the steal is counted.
+        // Reserved but idle: leaves, and the steal is counted.
         let mut r = mk(m, center);
         r.accept_flit(0, Port::West, head_flit(m.id(Coord::new(0, 1)), dst, 0));
         let mut out = NodeOutputs::default();
         for now in 0..3 {
-            r.step(now, &FixedCtrl(PsOutput::ReservedIdle), &mut out);
+            r.step(now, &mut FixedCtrl { busy: false }, &mut out);
         }
         assert_eq!(out.flits.len(), 1);
         assert_eq!(r.events.slots_stolen, 1);
@@ -1186,7 +1224,7 @@ mod tests {
             }
             out.flits.clear();
             out.credits.clear();
-            r.step(now, &NullCtrl, &mut out);
+            r.step(now, &mut NullCtrl, &mut out);
             crossed += out.flits.len();
         }
         // Downstream returned no credits: only the initial 5 may cross.
@@ -1197,7 +1235,7 @@ mod tests {
         let mut extra = 0;
         for now in 40..50 {
             out.flits.clear();
-            r.step(now, &NullCtrl, &mut out);
+            r.step(now, &mut NullCtrl, &mut out);
             extra += out.flits.len();
         }
         assert_eq!(extra, 1);
@@ -1223,7 +1261,7 @@ mod tests {
         let mut got = Vec::new();
         for now in 0..20 {
             out.flits.clear();
-            r.step(now, &NullCtrl, &mut out);
+            r.step(now, &mut NullCtrl, &mut out);
             for (_, f) in out.flits.drain(..) {
                 got.push((f.packet, f.kind()));
             }
@@ -1267,7 +1305,7 @@ mod tests {
         r.accept_flit(10, Port::West, head_flit(m.id(Coord::new(0, 1)), dst, 0));
         let mut out = NodeOutputs::default();
         for now in 10..=12 {
-            r.step(now, &NullCtrl, &mut out);
+            r.step(now, &mut NullCtrl, &mut out);
         }
         let ring = r.trace.take().unwrap();
         let kinds: Vec<EventKind> = ring.events().map(|e| e.kind).collect();
@@ -1291,11 +1329,11 @@ mod tests {
         let center = m.id(Coord::new(1, 1));
         let mut r = mk(m, center);
         let mut out = NodeOutputs::default();
-        r.step(0, &NullCtrl, &mut out);
+        r.step(0, &mut NullCtrl, &mut out);
         assert_eq!(r.take_utilization(), 0.0);
         let dst = m.id(Coord::new(2, 1));
         r.accept_flit(1, Port::West, head_flit(m.id(Coord::new(0, 1)), dst, 0));
-        r.step(1, &NullCtrl, &mut out);
+        r.step(1, &mut NullCtrl, &mut out);
         let u = r.take_utilization();
         assert!(u > 0.0 && u < 1.0);
     }
@@ -1305,8 +1343,8 @@ mod tests {
         let in_vc = flit.vc;
         r.accept_flit(100, in_port, flit);
         let mut out = NodeOutputs::default();
-        r.step(100, &NullCtrl, &mut out); // RC
-        r.step(101, &NullCtrl, &mut out); // VA
+        r.step(100, &mut NullCtrl, &mut out); // RC
+        r.step(101, &mut NullCtrl, &mut out); // VA
         match r.vc_state(in_port, in_vc as usize) {
             VcState::Active { out, out_vc } => (out, out_vc),
             s => panic!("VA did not complete: {s:?}"),
@@ -1368,7 +1406,7 @@ mod tests {
         let (out, _) = va_out_vc(&mut r, Port::West, f);
         assert_eq!(out, Port::Local);
         let mut outb = NodeOutputs::default();
-        r.step(102, &NullCtrl, &mut outb);
+        r.step(102, &mut NullCtrl, &mut outb);
         assert_eq!(r.ejected.len(), 1, "class-1 flit must eject normally");
     }
 

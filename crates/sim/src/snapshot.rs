@@ -46,7 +46,9 @@ use crate::Cycle;
 /// to any snapshotted type's encoding.
 ///
 /// v2: `TdmNode` gained the circuit-plan `pinned` table.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// v3: `SdmRouter` runs the shared `PsPipeline`; its state is the
+/// pipeline's encoding followed by the SDM-only tables.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Magic prefix of the container format.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NOCSNAP\x01";

@@ -52,7 +52,7 @@ fn wormhole_never_interleaves_packets_on_one_out_vc() {
     let mut per_vc: std::collections::HashMap<u8, Vec<u64>> = Default::default();
     for now in 0..40 {
         out.clear();
-        r.step(now, &NullCtrl, &mut out);
+        r.step(now, &mut NullCtrl, &mut out);
         for (_, f) in out.flits.drain(..) {
             per_vc.entry(f.vc).or_default().push(f.packet.0);
         }
@@ -98,7 +98,7 @@ fn switch_allocation_is_fair_across_input_ports() {
             }
         }
         out.clear();
-        r.step(now, &NullCtrl, &mut out);
+        r.step(now, &mut NullCtrl, &mut out);
         for (_, f) in out.flits.drain(..) {
             // Identify source port by src coordinate.
             if f.src() == srcs[0] {
@@ -198,14 +198,14 @@ fn head_of_line_packet_does_not_block_other_vcs() {
             }
         }
         out.clear();
-        r.step(0, &NullCtrl, &mut out);
+        r.step(0, &mut NullCtrl, &mut out);
     }
     // East is now credit-starved. A West→South packet on vc1 must pass.
     r.accept_flit(40, Port::West, flit_of(7, west_src, south, 0, 1, 1));
     let mut delivered = false;
     for now in 41..60 {
         out.clear();
-        r.step(now, &NullCtrl, &mut out);
+        r.step(now, &mut NullCtrl, &mut out);
         if out
             .flits
             .iter()
@@ -242,7 +242,7 @@ fn config_packets_route_adaptively_around_congestion() {
             pid += 1;
         }
         out.clear();
-        r.step(now, &NullCtrl, &mut out);
+        r.step(now, &mut NullCtrl, &mut out);
         // No credits returned for East.
     }
     // At least one East VC is drained and parked with zero credits, so
@@ -272,7 +272,7 @@ fn config_packets_route_adaptively_around_congestion() {
     let mut dir = None;
     for now in 50..70 {
         out.clear();
-        r.step(now, &NullCtrl, &mut out);
+        r.step(now, &mut NullCtrl, &mut out);
         if let Some((d, _)) = out.flits.iter().find(|(_, f)| f.packet == PacketId(999)) {
             dir = Some(*d);
             break;

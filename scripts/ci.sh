@@ -214,10 +214,13 @@ print(f"trace ok: {len(evs)} events, categories {dict(cats)}, "
 PY
 
 echo "== checkpoint/restore determinism (continuous vs --checkpoint-out vs --checkpoint-from) =="
+# Every backend on a mesh and on a torus: the torus runs the dateline VC
+# classes, which the SDM router takes from the shared pipeline.
 for BACKEND in PacketVc4 HybridTdmVc4 HybridSdmVc4; do
+  for TOPO in mesh torus; do
     cat > "$SWEEP_TMP/ckpt_spec.json" <<JSON
 [
-  { "backend": "$BACKEND", "mesh": 4,
+  { "backend": "$BACKEND", "mesh": 4, "topology": "$TOPO",
     "traffic": { "pattern": "UR", "rate": 0.10 },
     "phases": { "warmup_cycles": 300, "warmup_packets": 50,
                 "measure_cycles": 1500, "measure_packets": 2000,
@@ -235,9 +238,31 @@ JSON
         --checkpoint-from "$SWEEP_TMP/warm.ckpt" > /dev/null
     cmp "$SWEEP_TMP/ckpt_cont.json" "$SWEEP_TMP/ckpt_out.json"
     cmp "$SWEEP_TMP/ckpt_cont.json" "$SWEEP_TMP/ckpt_from.json"
-    rm -f "$SWEEP_TMP/warm.ckpt"
-    echo "$BACKEND: restore byte-identical to continuous run"
+    echo "$BACKEND ($TOPO): restore byte-identical to continuous run"
+  done
 done
+
+echo "== checkpoint version gate (a blob from an older layout is refused) =="
+# The blob version is the u32 after the 8-byte magic; stamp the previous
+# value into the SDM torus blob left by the loop above.
+python3 - "$SWEEP_TMP/warm.ckpt" <<'PY'
+import struct, sys
+path = sys.argv[1]
+blob = bytearray(open(path, "rb").read())
+(ver,) = struct.unpack_from("<I", blob, 8)
+assert ver >= 2, f"unexpected checkpoint version {ver}"
+struct.pack_into("<I", blob, 8, ver - 1)
+open(path, "wb").write(blob)
+PY
+if cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
+    --scenario "$SWEEP_TMP/ckpt_spec.json" --json "$SWEEP_TMP/ckpt_old.json" \
+    --checkpoint-from "$SWEEP_TMP/warm.ckpt" > /dev/null 2> "$SWEEP_TMP/ckpt_old.err"; then
+    echo "an old-version checkpoint was accepted"
+    exit 1
+fi
+grep -q "version" "$SWEEP_TMP/ckpt_old.err"
+rm -f "$SWEEP_TMP/warm.ckpt"
+echo "old-version checkpoint refused with a version error"
 
 echo "== transient-fault TDM scenario (kill + revive, repair FSM, drain) =="
 cat > "$SWEEP_TMP/fault.json" <<'JSON'
