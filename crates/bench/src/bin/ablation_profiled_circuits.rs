@@ -13,7 +13,7 @@
 //! points in the shared result envelope.
 
 use noc_bench::{
-    format_table, json_flag, paper_phases, quick_flag, result_envelope, run_synthetic_spec,
+    format_table, json_flag, paper_phases, quick_flag, result_envelope, run_spec,
     scenario_mode_ran, step_threads_from_env, write_json, BackendKind, ScenarioSpec, SynthPoint,
 };
 use noc_traffic::TrafficPattern;
@@ -58,7 +58,12 @@ fn main() {
         .collect();
     let points: Vec<SynthPoint> = specs
         .par_iter()
-        .map(|spec| run_synthetic_spec(spec).expect("spec runs"))
+        .map(|spec| {
+            run_spec(spec)
+                .expect("spec runs")
+                .into_synth()
+                .expect("synthetic")
+        })
         .collect();
 
     println!("=== Ablation — reactive setup vs profiled circuit plan (Hybrid-TDM-VC4, 6x6) ===");

@@ -3,8 +3,8 @@
 //! One binary per table/figure of the paper (`src/bin/`), plus Criterion
 //! microbenchmarks (`benches/`). Network construction goes through the
 //! `noc-scenario` backend registry ([`BackendKind`] + [`build_fabric`])
-//! and every run goes through the shared engine
-//! ([`noc_traffic::run_phases`]); this library holds what is left: the
+//! and every scenario run goes through [`run_spec_with`] on the shared
+//! engine (`noc_traffic`); this library holds what is left: the
 //! per-figure sweeps, saturation search and table/chart formatting.
 //!
 //! Every binary accepts `--scenario <file>` to run declarative
@@ -26,10 +26,10 @@
 
 use noc_power::{EnergyBreakdown, EnergyModel};
 use noc_sim::telemetry::{chrome_trace_json, link_heatmap_csv};
-use noc_sim::{Fabric, Mesh, NetworkConfig, TelemetryConfig, TelemetryReport};
+use noc_sim::{Fabric, Mesh, TelemetryConfig, TelemetryReport};
 use noc_traffic::{
-    run_measurement, run_measurement_ctl, run_phases, run_warmup, run_warmup_ctl, PhaseConfig,
-    RunControl, RunResult, SyntheticSource, TrafficPattern,
+    run_measurement_ctl, run_warmup_ctl, FreeRun, PhaseConfig, RunControl, RunResult,
+    TrafficPattern,
 };
 use serde::{Serialize, Value};
 
@@ -41,7 +41,6 @@ pub use noc_scenario::{
     BackendKind, Checkpoint, ScenarioError, ScenarioSpec, SpecSource, TrafficSpec, Tuning,
     SCHEMA_VERSION,
 };
-pub use noc_traffic::FreeRun;
 pub use noc_workload::{capture_ticks, plan_top_flows, PacketTrace};
 
 /// One synthetic measurement point.
@@ -83,8 +82,9 @@ fn synth_point(
     }
 }
 
-/// Run one synthetic point through the registry-built fabric and the
-/// shared engine.
+/// Run one synthetic point on a square grid: a [`ScenarioSpec`] built
+/// from the arguments (with the `NOC_STEP_THREADS` host override) through
+/// [`run_spec`].
 pub fn run_synthetic(
     kind: BackendKind,
     mesh: Mesh,
@@ -93,118 +93,15 @@ pub fn run_synthetic(
     phases: PhaseConfig,
     seed: u64,
 ) -> SynthPoint {
-    let mut net_cfg = NetworkConfig::with_mesh(mesh);
-    net_cfg.step_threads = step_threads_from_env();
-    let mut source =
-        SyntheticSource::new(mesh, pattern.clone(), rate, net_cfg.ps_packet_flits, seed);
-    let mut fabric = build_fabric(
-        kind,
-        net_cfg,
-        Tuning::Synthetic {
-            slot_capacity: None,
-        },
-    )
-    .expect("every backend builds under the synthetic tuning");
-    let result = run_phases(fabric.as_mut(), &mut source, phases);
-    synth_point(
-        kind,
-        pattern.name(),
-        rate,
-        result,
-        mesh.len(),
-        net_cfg.ps_packet_flits,
-    )
-}
-
-/// Run a synthetic [`ScenarioSpec`] (hetero specs are rejected — those
-/// resolve through `noc_hetero::run_spec`).
-pub fn run_synthetic_spec(spec: &ScenarioSpec) -> Result<SynthPoint, ScenarioError> {
-    run_synthetic_spec_traced(spec, None).map(|(p, _)| p)
-}
-
-/// [`run_synthetic_spec`] with optional flit-lifecycle tracing. Tracing
-/// only observes: the [`SynthPoint`] is bit-identical with or without a
-/// telemetry config.
-///
-/// Checkpoint seam: a spec with `checkpoint_out` writes a warm-up blob
-/// before measuring; a spec with `checkpoint_from` restores one instead
-/// of warming up — and produces a byte-identical measurement to the
-/// continuous run it forked from (same traffic/seed) or a fresh
-/// measurement point (different traffic/seed: the warm-up fork). A fault
-/// schedule on the spec is armed before warm-up; on a restore the
-/// snapshot's own mid-timeline fault state continues instead.
-pub fn run_synthetic_spec_traced(
-    spec: &ScenarioSpec,
-    telemetry: Option<&TelemetryConfig>,
-) -> Result<(SynthPoint, Option<TelemetryReport>), ScenarioError> {
-    let mut source = build_workload(spec)?.ok_or_else(|| {
-        ScenarioError::Parse(
-            "run_synthetic_spec needs a synthetic or trace scenario (hetero \
-             runs resolve through noc_hetero::run_spec)"
-                .into(),
-        )
-    })?;
-    let (name, rate) = point_label(spec, &source);
-    let mut fabric = spec.build_fabric()?;
-    if let Some(cfg) = telemetry {
-        fabric.configure_telemetry(cfg);
-    }
-    let result = if let Some(path) = &spec.checkpoint_from {
-        // Warm-up fork: fast-forward the source to the checkpointed RNG
-        // position, raise its id allocator past every in-flight packet,
-        // and restore the fabric. The snapshot carries the fault timeline
-        // (and any pinned circuit plan) mid-flight, so neither
-        // `set_faults` nor `install_circuit_plan` must run again here.
-        let ck = Checkpoint::read(path)?;
-        ck.compatible_with(spec)?;
-        source.skip_ticks(ck.warmup_ticks);
-        source.skip_to(ck.next_packet_id);
-        fabric
-            .restore(&ck.snapshot)
-            .map_err(|e| ScenarioError::Checkpoint(format!("{path}: {e}")))?;
-        run_measurement(fabric.as_mut(), &mut source, spec.phases)
-    } else {
-        if let Some(top) = spec.profile_circuits {
-            let plan = plan_for_spec(spec, top)?;
-            fabric
-                .install_circuit_plan(&plan)
-                .map_err(|e| ScenarioError::Parse(format!("profile_circuits: {e}")))?;
-        }
-        if !spec.faults.is_empty() {
-            spec.validate_faults()?;
-            fabric
-                .set_faults(spec.faults.clone())
-                .map_err(|e| ScenarioError::Fault(e.to_string()))?;
-        }
-        let warmup_ticks = run_warmup(fabric.as_mut(), &mut source, spec.phases);
-        if let Some(out) = &spec.checkpoint_out {
-            let snapshot = fabric
-                .checkpoint()
-                .map_err(|e| ScenarioError::Checkpoint(e.to_string()))?;
-            Checkpoint {
-                spec: spec.clone(),
-                warmup_ticks,
-                next_packet_id: source.next_id_preview(),
-                snapshot,
-            }
-            .write(out)?;
-        }
-        run_measurement(fabric.as_mut(), &mut source, spec.phases)
-    };
-    write_trace_export(spec, &mut source)?;
-    let report = telemetry.and_then(|_| fabric.telemetry_report());
-    let net_cfg = spec.net_config();
-    Ok((
-        synth_point(
-            spec.backend,
-            name,
-            rate,
-            result,
-            net_cfg.mesh.len(),
-            net_cfg.ps_packet_flits,
-        ),
-        report,
-    ))
+    assert_eq!(mesh.kx(), mesh.ky(), "scenario grids are square");
+    let mut spec = ScenarioSpec::synthetic(kind, mesh.kx(), pattern, rate, phases, seed);
+    spec.topology = mesh.kind();
+    spec.concentration = mesh.concentration();
+    spec.step_threads = step_threads_from_env();
+    run_spec(&spec)
+        .expect("every backend builds under the synthetic tuning")
+        .into_synth()
+        .expect("synthetic specs yield synthetic points")
 }
 
 /// (pattern label, offered rate) for a synthetic or trace point.
@@ -256,29 +153,49 @@ fn write_trace_export(spec: &ScenarioSpec, source: &mut SpecSource) -> Result<()
     Ok(())
 }
 
-/// How an in-process service run starts: cold (optionally capturing a
-/// warm-up checkpoint at the warm/measurement boundary) or restored from
-/// a cached blob (the warm-up-cache hit path of `noc-serve`).
+/// How a run starts: cold (optionally capturing a warm-up checkpoint at
+/// the warm-up/measurement boundary) or restored from a captured
+/// warm-up — the warm-up fork.
 pub enum WarmStart<'a> {
     /// Pay the warm-up; `capture` additionally checkpoints the fabric at
-    /// the boundary and returns the blob in [`ServeRun::Done`].
+    /// the boundary and returns the blob in [`RunOutcome::Done`].
     Fresh { capture: bool },
     /// Restore a previously captured warm-up (must be
     /// [`Checkpoint::compatible_with`] the spec) and go straight to
-    /// measurement.
+    /// measurement. With the same traffic and seed the measurement is
+    /// byte-identical to the continuous run the blob came from; with
+    /// different ones it is a fresh measurement point.
     Restore(&'a Checkpoint),
 }
 
-/// Outcome of one cancellable in-process run ([`run_synthetic_spec_ctl`]).
-/// One transient value per run, so the checkpoint-carrying `Done`
-/// variant stays unboxed despite the size skew.
+/// What a [`run_spec_with`] run adds to a plain [`run_spec`].
+pub struct RunOptions<'a> {
+    /// Record flit-lifecycle telemetry and return its report. A cold run
+    /// that neither captures nor restores a checkpoint arms it at cycle
+    /// 0, so the trace covers warm-up, measurement and drain. Any other
+    /// run arms it right after the warm-up/restore boundary (a snapshot
+    /// refuses armed telemetry), so its trace covers measurement and
+    /// drain only. Tracing only observes: results are bit-identical.
+    pub telemetry: Option<&'a TelemetryConfig>,
+    pub warm: WarmStart<'a>,
+    /// Per-cycle hook for cooperative cancellation and live telemetry
+    /// streaming (`None` = run to completion).
+    pub control: Option<&'a mut dyn RunControl>,
+}
+
+/// Outcome of one [`run_spec_with`] run. One transient value per run, so
+/// the checkpoint-carrying `Done` variant stays unboxed despite the size
+/// skew.
 #[allow(clippy::large_enum_variant)]
-pub enum ServeRun {
+pub enum RunOutcome {
     Done {
-        point: SynthPoint,
+        outcome: SpecOutcome,
         /// The warm-up checkpoint, when `WarmStart::Fresh { capture: true }`
         /// asked for one.
         warm: Option<Checkpoint>,
+        /// The telemetry report, when [`RunOptions::telemetry`] armed it
+        /// on a backend that records.
+        telemetry: Option<TelemetryReport>,
     },
     /// The control hook cancelled the run. The fabric was given a bounded
     /// drain before being dropped; `arena_live` reports config-payload
@@ -287,36 +204,51 @@ pub enum ServeRun {
     Cancelled { arena_live: usize },
 }
 
-/// The worker-side engine entry point of `noc-serve`: like
-/// [`run_synthetic_spec_traced`] but callable in-process with (a) a
-/// [`RunControl`] hook for tick-granularity cooperative cancellation and
-/// live telemetry streaming, (b) an in-memory [`WarmStart`] instead of
-/// the `checkpoint_out`/`checkpoint_from` file plumbing, and (c)
-/// host-timing fields zeroed (like sweep envelopes) so equal specs
-/// produce byte-identical serialised results.
+/// Run any [`ScenarioSpec`] with [`RunOptions`]: the one copy of the
+/// scenario run. A synthetic or trace spec restores or warms up
+/// (installing profiled circuits and arming its fault schedule first),
+/// optionally captures the warm-up, measures, drains and writes its
+/// `trace_export`. On a restore the snapshot's own fault timeline and
+/// pinned circuits continue instead. Hetero specs run through
+/// `noc_hetero::run_spec` and take neither a checkpoint nor a control.
 ///
-/// `stream` arms windowed metrics *after* the warm-up boundary — both
-/// because `Fabric::checkpoint` refuses while telemetry is armed and so
-/// the window frames cover exactly the measurement the subscriber cares
-/// about. Telemetry only observes; results are bit-identical either way.
-pub fn run_synthetic_spec_ctl(
+/// The spec's `checkpoint_from`/`checkpoint_out` file paths are not read
+/// here; [`run_spec`] and [`run_sweep`] map them onto `warm`.
+pub fn run_spec_with(
     spec: &ScenarioSpec,
-    warm: WarmStart<'_>,
-    stream: Option<&TelemetryConfig>,
-    ctl: &mut dyn RunControl,
-) -> Result<ServeRun, ScenarioError> {
-    fn cancelled(fabric: &mut dyn Fabric) -> ServeRun {
+    opts: RunOptions<'_>,
+) -> Result<RunOutcome, ScenarioError> {
+    fn cancelled(fabric: &mut dyn Fabric) -> RunOutcome {
         // Flush in-flight flits so a cancelled run releases its arena
         // payloads; the bound keeps a wedged fabric from spinning forever.
         let _ = fabric.drain(100_000);
-        ServeRun::Cancelled {
+        RunOutcome::Cancelled {
             arena_live: fabric.arena_live(),
         }
     }
 
-    let mut source = build_workload(spec)?.ok_or_else(|| {
-        ScenarioError::Parse("run_synthetic_spec_ctl needs a synthetic or trace scenario".into())
-    })?;
+    let RunOptions {
+        telemetry,
+        warm,
+        control,
+    } = opts;
+    let Some(mut source) = build_workload(spec)? else {
+        if control.is_some() || !matches!(warm, WarmStart::Fresh { capture: false }) {
+            return Err(ScenarioError::Parse(
+                "hetero runs take neither a warm-up checkpoint nor a run control".into(),
+            ));
+        }
+        let (mix, report) = noc_hetero::run_spec(spec, telemetry)?;
+        return Ok(RunOutcome::Done {
+            outcome: SpecOutcome::Hetero(mix),
+            warm: None,
+            telemetry: report,
+        });
+    };
+    let ctl: &mut dyn RunControl = match control {
+        Some(ctl) => ctl,
+        None => &mut FreeRun,
+    };
     let (name, rate) = point_label(spec, &source);
     if spec.trace_export.is_some() && matches!(warm, WarmStart::Restore(_)) {
         return Err(ScenarioError::Parse(
@@ -326,8 +258,15 @@ pub fn run_synthetic_spec_ctl(
         ));
     }
     let mut fabric = spec.build_fabric()?;
+    let arm_at_start = matches!(warm, WarmStart::Fresh { capture: false });
+    if let (Some(cfg), true) = (telemetry, arm_at_start) {
+        fabric.configure_telemetry(cfg);
+    }
     let warm_blob = match warm {
         WarmStart::Restore(ck) => {
+            // Fast-forward the source to the checkpointed RNG position,
+            // raise its id allocator past every in-flight packet, and
+            // restore the fabric.
             ck.compatible_with(spec)?;
             source.skip_ticks(ck.warmup_ticks);
             source.skip_to(ck.next_packet_id);
@@ -368,7 +307,7 @@ pub fn run_synthetic_spec_ctl(
             }
         }
     };
-    if let Some(cfg) = stream {
+    if let (Some(cfg), false) = (telemetry, arm_at_start) {
         fabric.configure_telemetry(cfg);
     }
     let Some(result) = run_measurement_ctl(fabric.as_mut(), &mut source, spec.phases, ctl) else {
@@ -376,20 +315,17 @@ pub fn run_synthetic_spec_ctl(
     };
     write_trace_export(spec, &mut source)?;
     let net_cfg = spec.net_config();
-    let mut point = synth_point(
-        spec.backend,
-        name,
-        rate,
-        result,
-        net_cfg.mesh.len(),
-        net_cfg.ps_packet_flits,
-    );
-    // Service results must serialise reproducibly, like sweep envelopes.
-    point.result.wall_seconds = 0.0;
-    point.result.sim_cycles_per_sec = 0.0;
-    Ok(ServeRun::Done {
-        point,
+    Ok(RunOutcome::Done {
+        outcome: SpecOutcome::Synth(synth_point(
+            spec.backend,
+            name,
+            rate,
+            result,
+            net_cfg.mesh.len(),
+            net_cfg.ps_packet_flits,
+        )),
         warm: warm_blob,
+        telemetry: telemetry.and_then(|_| fabric.telemetry_report()),
     })
 }
 
@@ -399,6 +335,26 @@ pub fn run_synthetic_spec_ctl(
 pub enum SpecOutcome {
     Synth(SynthPoint),
     Hetero(MixResult),
+}
+
+impl SpecOutcome {
+    /// The synthetic point; `None` for a hetero mix result.
+    pub fn into_synth(self) -> Option<SynthPoint> {
+        match self {
+            SpecOutcome::Synth(p) => Some(p),
+            SpecOutcome::Hetero(_) => None,
+        }
+    }
+
+    /// Zero the host-timing fields of a synthetic result (`wall_seconds`,
+    /// `sim_cycles_per_sec`): they are the only scheduling-dependent
+    /// outputs, so zeroing them makes serialised results reproducible.
+    pub fn clear_host_timing(&mut self) {
+        if let SpecOutcome::Synth(p) = self {
+            p.result.wall_seconds = 0.0;
+            p.result.sim_cycles_per_sec = 0.0;
+        }
+    }
 }
 
 impl Serialize for SpecOutcome {
@@ -411,36 +367,62 @@ impl Serialize for SpecOutcome {
 }
 
 /// Run any [`ScenarioSpec`], dispatching on its traffic kind.
+///
+/// Checkpoint seam: a spec with `checkpoint_from` restores that blob
+/// instead of warming up; a spec with `checkpoint_out` captures its
+/// warm-up and writes the blob there once the run is done.
 pub fn run_spec(spec: &ScenarioSpec) -> Result<SpecOutcome, ScenarioError> {
-    run_spec_traced(spec, None).map(|(o, _)| o)
+    run_spec_file(spec, None).map(|(o, _)| o)
 }
 
-/// [`run_spec`] with optional flit-lifecycle tracing.
-pub fn run_spec_traced(
+/// [`run_spec_with`] with the spec's checkpoint file paths mapped onto
+/// [`WarmStart`], shared by [`run_spec`] and [`run_sweep`].
+fn run_spec_file(
     spec: &ScenarioSpec,
     telemetry: Option<&TelemetryConfig>,
 ) -> Result<(SpecOutcome, Option<TelemetryReport>), ScenarioError> {
-    match &spec.traffic {
-        TrafficSpec::Synthetic { .. } | TrafficSpec::Trace { .. } => {
-            let (p, r) = run_synthetic_spec_traced(spec, telemetry)?;
-            Ok((SpecOutcome::Synth(p), r))
-        }
-        TrafficSpec::Hetero { .. } => {
-            let (m, r) = noc_hetero::run_spec_traced(spec, telemetry)?;
-            Ok((SpecOutcome::Hetero(m), r))
-        }
+    let restored = spec
+        .checkpoint_from
+        .as_deref()
+        .map(Checkpoint::read)
+        .transpose()?;
+    let warm = match &restored {
+        Some(ck) => WarmStart::Restore(ck),
+        None => WarmStart::Fresh {
+            capture: spec.checkpoint_out.is_some(),
+        },
+    };
+    let opts = RunOptions {
+        telemetry,
+        warm,
+        control: None,
+    };
+    let RunOutcome::Done {
+        outcome,
+        warm,
+        telemetry,
+    } = run_spec_with(spec, opts)?
+    else {
+        unreachable!("a run without a control never cancels")
+    };
+    if let (Some(path), Some(ck)) = (&spec.checkpoint_out, warm) {
+        ck.write(path)?;
     }
+    Ok((outcome, telemetry))
 }
 
 /// Run a multi-point sweep, fanning the specs over `threads` worker
 /// threads (`0` = one per available core, `1` = serial). Every point is
 /// an independent simulation seeded by its spec, chunks are contiguous
 /// and results are merged back in spec order, so the outcome vector is
-/// **byte-identical for any thread count**. The host-timing fields of
-/// synthetic results (`wall_seconds`, `sim_cycles_per_sec`) are zeroed —
-/// they are the only scheduling-dependent outputs, and zeroing them keeps
-/// serialised sweep envelopes reproducible across hosts and thread
-/// counts. The first spec error (in spec order) is returned, if any.
+/// **byte-identical for any thread count**. Host-timing fields are
+/// zeroed ([`SpecOutcome::clear_host_timing`]) so serialised sweep
+/// envelopes stay reproducible across hosts and thread counts. The first
+/// spec error (in spec order) is returned, if any.
+///
+/// With `telemetry`, every spec runs traced under that config and yields
+/// its own report (see [`RunOptions::telemetry`] for the arm point);
+/// reports ride the same spec-order merge as the outcomes.
 ///
 /// Warm-up fork: when every spec carries the same `checkpoint_from`
 /// (what `--checkpoint-from` sets), one paid warm-up fans out into the
@@ -449,22 +431,8 @@ pub fn run_spec_traced(
 pub fn run_sweep(
     specs: &[ScenarioSpec],
     threads: usize,
-) -> Result<Vec<SpecOutcome>, ScenarioError> {
-    Ok(run_sweep_traced(specs, threads, None)?
-        .into_iter()
-        .map(|(o, _)| o)
-        .collect())
-}
-
-/// [`run_sweep`] with optional flit-lifecycle tracing: every spec runs
-/// under the same telemetry config and yields its own report. Telemetry
-/// merges stay deterministic across thread counts because reports ride
-/// the same contiguous-chunk, spec-order merge as the outcomes.
-pub fn run_sweep_traced(
-    specs: &[ScenarioSpec],
-    threads: usize,
     telemetry: Option<&TelemetryConfig>,
-) -> Result<Vec<(SpecOutcome, Option<TelemetryReport>)>, ScenarioError> {
+) -> Result<(Vec<SpecOutcome>, Vec<Option<TelemetryReport>>), ScenarioError> {
     let workers = match threads {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
@@ -475,10 +443,7 @@ pub fn run_sweep_traced(
     .max(1);
     type Traced = Result<(SpecOutcome, Option<TelemetryReport>), ScenarioError>;
     let results: Vec<Traced> = if workers <= 1 {
-        specs
-            .iter()
-            .map(|s| run_spec_traced(s, telemetry))
-            .collect()
+        specs.iter().map(|s| run_spec_file(s, telemetry)).collect()
     } else {
         let chunk = specs.len().div_ceil(workers);
         std::thread::scope(|scope| {
@@ -487,7 +452,7 @@ pub fn run_sweep_traced(
                 .map(|c| {
                     scope.spawn(move || {
                         c.iter()
-                            .map(|s| run_spec_traced(s, telemetry))
+                            .map(|s| run_spec_file(s, telemetry))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -500,15 +465,14 @@ pub fn run_sweep_traced(
         })
     };
     let mut outcomes = Vec::with_capacity(results.len());
+    let mut reports = Vec::with_capacity(results.len());
     for r in results {
         let (mut o, report) = r?;
-        if let SpecOutcome::Synth(p) = &mut o {
-            p.result.wall_seconds = 0.0;
-            p.result.sim_cycles_per_sec = 0.0;
-        }
-        outcomes.push((o, report));
+        o.clear_host_timing();
+        outcomes.push(o);
+        reports.push(report);
     }
-    Ok(outcomes)
+    Ok((outcomes, reports))
 }
 
 /// Handle the shared `--scenario <file>` flag: when present, run the
@@ -535,15 +499,13 @@ pub fn scenario_mode_ran() -> bool {
 /// <path>` every spec runs traced: per-spec Chrome trace JSON and link
 /// heatmap CSV files are written, and the result envelope (schema v2)
 /// gains a `telemetry` block with the aggregates.
-pub fn run_scenario_specs(specs: &[ScenarioSpec]) -> Result<(), ScenarioError> {
+fn run_scenario_specs(specs: &[ScenarioSpec]) -> Result<(), ScenarioError> {
     let telemetry = noc_scenario::telemetry_from_cli()?;
-    let traced = run_sweep_traced(
+    let (outcomes, reports) = run_sweep(
         specs,
         sweep_threads_flag(),
         telemetry.as_ref().map(|(_, cfg)| cfg),
     )?;
-    let (outcomes, reports): (Vec<SpecOutcome>, Vec<Option<TelemetryReport>>) =
-        traced.into_iter().unzip();
 
     let mut synth_rows = Vec::new();
     let mut hetero_rows = Vec::new();
@@ -917,7 +879,7 @@ mod tests {
             PhaseConfig::quick(),
             21,
         );
-        let via_spec = run_synthetic_spec(&spec).unwrap();
+        let via_spec = run_spec(&spec).unwrap().into_synth().unwrap();
         let direct = run_synthetic(
             BackendKind::HybridTdmVct,
             Mesh::square(4),
@@ -936,7 +898,6 @@ mod tests {
         );
         assert_eq!(via_spec.result.stats.events, direct.result.stats.events);
         assert_eq!(via_spec.goodput, direct.goodput);
-        assert!(matches!(run_spec(&spec).unwrap(), SpecOutcome::Synth(_)));
     }
 
     /// `run_sweep` must merge worker chunks back in spec order and zero
@@ -960,7 +921,7 @@ mod tests {
             })
             .collect();
         let envelope_for = |threads: usize| {
-            let outcomes = run_sweep(&specs, threads).expect("sweep runs");
+            let (outcomes, _) = run_sweep(&specs, threads, None).expect("sweep runs");
             assert_eq!(outcomes.len(), specs.len());
             serde_json::to_string_pretty(&result_envelope(&specs, &outcomes)).expect("serializable")
         };
@@ -993,31 +954,23 @@ mod tests {
             })
             .collect();
         let cfg = noc_sim::TelemetryConfig::default();
-        let untraced = run_sweep(&specs, 1).expect("untraced sweep");
-        let t1 = run_sweep_traced(&specs, 1, Some(&cfg)).expect("traced sweep");
-        let t4 = run_sweep_traced(&specs, 4, Some(&cfg)).expect("traced sweep x4");
+        let (untraced, _) = run_sweep(&specs, 1, None).expect("untraced sweep");
+        let (t1, r1) = run_sweep(&specs, 1, Some(&cfg)).expect("traced sweep");
+        let (t4, r4) = run_sweep(&specs, 4, Some(&cfg)).expect("traced sweep x4");
 
         let env = |outcomes: &[SpecOutcome]| {
             serde_json::to_string_pretty(&result_envelope(&specs, &outcomes.to_vec()))
                 .expect("serializable")
         };
-        let t1_outcomes: Vec<SpecOutcome> = t1.iter().map(|(o, _)| o.clone()).collect();
-        let t4_outcomes: Vec<SpecOutcome> = t4.iter().map(|(o, _)| o.clone()).collect();
-        assert_eq!(
-            env(&untraced),
-            env(&t1_outcomes),
-            "tracing perturbed the run"
-        );
-        assert_eq!(env(&t1_outcomes), env(&t4_outcomes), "1 vs 4 sweep threads");
+        assert_eq!(env(&untraced), env(&t1), "tracing perturbed the run");
+        assert_eq!(env(&t1), env(&t4), "1 vs 4 sweep threads");
 
-        for ((_, r1), (_, r4)) in t1.iter().zip(&t4) {
+        for (r1, r4) in r1.iter().zip(&r4) {
             let (r1, r4) = (r1.as_ref().expect("report"), r4.as_ref().expect("report"));
             assert_eq!(r1.events, r4.events, "telemetry depends on thread count");
             assert_eq!(r1.link_flits, r4.link_flits);
         }
-        assert!(t1
-            .iter()
-            .any(|(_, r)| !r.as_ref().unwrap().events.is_empty()));
+        assert!(r1.iter().any(|r| !r.as_ref().unwrap().events.is_empty()));
     }
 
     /// End-to-end export: trace + heatmap files land on disk and the CSV
@@ -1033,8 +986,18 @@ mod tests {
             9,
         );
         let cfg = noc_sim::TelemetryConfig::default();
-        let (_, report) = run_spec_traced(&spec, Some(&cfg)).expect("traced run");
-        let report = report.expect("tdm backend reports telemetry");
+        let opts = RunOptions {
+            telemetry: Some(&cfg),
+            warm: WarmStart::Fresh { capture: false },
+            control: None,
+        };
+        let Ok(RunOutcome::Done {
+            telemetry: Some(report),
+            ..
+        }) = run_spec_with(&spec, opts)
+        else {
+            panic!("a traced TDM run reports telemetry")
+        };
 
         let dir = std::env::temp_dir().join(format!("noc-trace-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -8,10 +8,11 @@
 //!   flit arena's live count is zero even though mid-flight flits were
 //!   purged;
 //! * the TDM repair FSM completes a transient kill + revive with two
-//!   repair sequences and a nonzero repair latency.
+//!   repair sequences and a nonzero repair latency;
+//! * a traced warm-up fork measures exactly what the untraced fork does.
 
-use noc_bench::{result_envelope, run_sweep, BackendKind, ScenarioSpec};
-use noc_sim::{Direction, FaultEvent, TopologyKind};
+use noc_bench::{result_envelope, run_sweep, BackendKind, Checkpoint, ScenarioSpec};
+use noc_sim::{Direction, FaultEvent, TelemetryConfig, TopologyKind};
 use noc_traffic::{run_phases, PhaseConfig, TrafficPattern};
 use proptest::prelude::*;
 
@@ -19,7 +20,7 @@ use proptest::prelude::*;
 /// (exactly what the binaries write with `--json`).
 fn envelope_json(spec: &ScenarioSpec) -> String {
     let specs = std::slice::from_ref(spec);
-    let outcomes = run_sweep(specs, 1).expect("sweep runs");
+    let (outcomes, _) = run_sweep(specs, 1, None).expect("sweep runs");
     serde_json::to_string_pretty(&result_envelope(specs, &outcomes)).expect("serializable")
 }
 
@@ -88,6 +89,55 @@ proptest! {
         .with_topology(topology, conc);
         let tag = format!("{backend_i}-{topo_i}-{seed}");
         assert_checkpoint_round_trip(&base, &tag)?;
+    }
+}
+
+/// Telemetry arms after the warm-up/restore boundary on a capturing or
+/// restoring run: a traced capture and a traced fork both run, their
+/// traces start at the boundary, and the traced fork's point equals the
+/// untraced fork's.
+#[test]
+fn traced_warm_up_fork_matches_untraced_restore() {
+    let cfg = TelemetryConfig::default();
+    let traced_sweep = |spec: &ScenarioSpec| {
+        let specs = std::slice::from_ref(spec);
+        let (outcomes, mut reports) = run_sweep(specs, 1, Some(&cfg)).expect("traced run");
+        let envelope = serde_json::to_string_pretty(&result_envelope(specs, &outcomes)).unwrap();
+        (envelope, reports.remove(0).expect("TDM reports telemetry"))
+    };
+    let path = blob_path("traced-fork");
+    let mut writing = ScenarioSpec::synthetic(
+        BackendKind::HybridTdmVc4,
+        4,
+        TrafficPattern::UniformRandom,
+        0.10,
+        PhaseConfig::quick(),
+        31,
+    );
+    writing.checkpoint_out = Some(path.clone());
+    let (_, capture_report) = traced_sweep(&writing);
+    let boundary = Checkpoint::read(&path).expect("blob written").warmup_ticks;
+
+    let mut fork = ScenarioSpec::synthetic(
+        BackendKind::HybridTdmVc4,
+        4,
+        TrafficPattern::Transpose,
+        0.15,
+        PhaseConfig::quick(),
+        32,
+    );
+    fork.checkpoint_from = Some(path.clone());
+    let (traced, fork_report) = traced_sweep(&fork);
+    let untraced = envelope_json(&fork);
+    std::fs::remove_file(&path).ok();
+
+    assert_eq!(traced, untraced, "tracing perturbed the restored run");
+    for report in [&capture_report, &fork_report] {
+        assert!(!report.events.is_empty());
+        assert!(
+            report.events.iter().all(|e| e.cycle >= boundary),
+            "a forked trace covers measurement and drain only"
+        );
     }
 }
 

@@ -6,7 +6,7 @@
 //! behaviour; a change to the arm point (or to what a traced run
 //! records) moves at least one of them.
 
-use noc_bench::{run_spec_traced, BackendKind, ScenarioSpec};
+use noc_bench::{run_spec_with, BackendKind, RunOptions, RunOutcome, ScenarioSpec, WarmStart};
 use noc_sim::TelemetryConfig;
 use noc_traffic::{PhaseConfig, TrafficPattern};
 
@@ -25,8 +25,18 @@ fn cold_traced_run_arms_at_cycle_zero() {
         window: 500,
         ..TelemetryConfig::default()
     };
-    let (_, report) = run_spec_traced(&spec, Some(&cfg)).expect("traced run");
-    let report = report.expect("the TDM backend reports telemetry");
+    let opts = RunOptions {
+        telemetry: Some(&cfg),
+        warm: WarmStart::Fresh { capture: false },
+        control: None,
+    };
+    let Ok(RunOutcome::Done {
+        telemetry: Some(report),
+        ..
+    }) = run_spec_with(&spec, opts)
+    else {
+        panic!("the TDM backend reports telemetry")
+    };
 
     assert_eq!(report.dropped, 0, "the ring must hold the whole run");
     assert!(

@@ -80,14 +80,36 @@ pub fn run_mix(
     phases: PhaseConfig,
     seed: u64,
 ) -> Result<MixResult, ScenarioError> {
-    run_mix_traced(cpu, gpu, kind, phases, seed, None).map(|(r, _)| r)
+    mix_body(cpu, gpu, kind, phases, seed, None).map(|(r, _)| r)
 }
 
-/// [`run_mix`] with optional flit-lifecycle tracing: when `telemetry` is
-/// given, the fabric records into per-node ring sinks and the harvested
-/// [`TelemetryReport`] is returned alongside the measurements. Tracing
-/// only observes — the `MixResult` is bit-identical either way.
-pub fn run_mix_traced(
+/// Run a hetero [`ScenarioSpec`] (resolving benchmark names through the
+/// workload tables), optionally traced: when `telemetry` is given, the
+/// fabric records into per-node ring sinks from cycle 0 and the
+/// harvested [`TelemetryReport`] is returned alongside the measurements.
+/// Tracing only observes — the `MixResult` is bit-identical either way.
+/// Synthetic and trace specs are rejected — those run through the
+/// scenario runner in `noc-bench`.
+pub fn run_spec(
+    spec: &ScenarioSpec,
+    telemetry: Option<&TelemetryConfig>,
+) -> Result<(MixResult, Option<TelemetryReport>), ScenarioError> {
+    match &spec.traffic {
+        TrafficSpec::Hetero { cpu, gpu } => {
+            let cpu = cpu_bench(cpu).ok_or_else(|| ScenarioError::UnknownBench(cpu.clone()))?;
+            let gpu = gpu_bench(gpu).ok_or_else(|| ScenarioError::UnknownBench(gpu.clone()))?;
+            mix_body(cpu, gpu, spec.backend, spec.phases, spec.seed, telemetry)
+        }
+        TrafficSpec::Synthetic { .. } | TrafficSpec::Trace { .. } => Err(ScenarioError::Parse(
+            "run_spec needs a hetero scenario (cpu+gpu), not a synthetic \
+             pattern or trace replay"
+                .into(),
+        )),
+    }
+}
+
+/// The one mix run behind [`run_mix`] and [`run_spec`].
+fn mix_body(
     cpu: &CpuBench,
     gpu: &GpuBench,
     kind: BackendKind,
@@ -165,32 +187,6 @@ pub fn run_mix_traced(
         stats,
     };
     Ok((mix, report))
-}
-
-/// Run a hetero [`ScenarioSpec`] (resolving benchmark names through the
-/// workload tables). Synthetic specs are rejected — use the open-loop
-/// driver for those.
-pub fn run_spec(spec: &ScenarioSpec) -> Result<MixResult, ScenarioError> {
-    run_spec_traced(spec, None).map(|(r, _)| r)
-}
-
-/// [`run_spec`] with optional tracing (see [`run_mix_traced`]).
-pub fn run_spec_traced(
-    spec: &ScenarioSpec,
-    telemetry: Option<&TelemetryConfig>,
-) -> Result<(MixResult, Option<TelemetryReport>), ScenarioError> {
-    match &spec.traffic {
-        TrafficSpec::Hetero { cpu, gpu } => {
-            let cpu = cpu_bench(cpu).ok_or_else(|| ScenarioError::UnknownBench(cpu.clone()))?;
-            let gpu = gpu_bench(gpu).ok_or_else(|| ScenarioError::UnknownBench(gpu.clone()))?;
-            run_mix_traced(cpu, gpu, spec.backend, spec.phases, spec.seed, telemetry)
-        }
-        TrafficSpec::Synthetic { .. } | TrafficSpec::Trace { .. } => Err(ScenarioError::Parse(
-            "run_spec needs a hetero scenario (cpu+gpu), not a synthetic \
-             pattern or trace replay"
-                .into(),
-        )),
-    }
 }
 
 #[cfg(test)]
@@ -277,10 +273,11 @@ mod tests {
             mix_phases(true),
             7,
         );
-        let r = run_spec(&spec).unwrap();
+        let (r, report) = run_spec(&spec, None).unwrap();
         assert!(r.stats.packets_delivered > 500);
+        assert!(report.is_none(), "untraced runs harvest no report");
 
         let bad = ScenarioSpec::hetero(BackendKind::PacketVc4, "NOPE", "STO", mix_phases(true), 7);
-        assert!(matches!(run_spec(&bad), Err(ScenarioError::UnknownBench(n)) if n == "NOPE"));
+        assert!(matches!(run_spec(&bad, None), Err(ScenarioError::UnknownBench(n)) if n == "NOPE"));
     }
 }

@@ -34,10 +34,12 @@ pub fn sweep_threads_flag() -> usize {
         .unwrap_or(1)
 }
 
-/// Optional `--checkpoint-out <path>` flag: after the scenario's warm-up
-/// phase, write a checkpoint blob to `path` and continue measuring as
-/// usual. Needs a single-spec `--scenario`; incompatible with
-/// `--trace-out` (telemetry ring state sits outside the snapshot seam).
+/// Optional `--checkpoint-out <path>` flag: capture a checkpoint blob at
+/// the end of the scenario's warm-up phase, measure as usual, and write
+/// the blob to `path`. Needs a single-spec `--scenario`. With
+/// `--trace-out`, tracing arms after the capture (telemetry ring state
+/// sits outside the snapshot seam), so the trace covers measurement and
+/// drain only.
 pub fn checkpoint_out_flag() -> Option<String> {
     arg_value("--checkpoint-out")
 }
@@ -45,7 +47,9 @@ pub fn checkpoint_out_flag() -> Option<String> {
 /// Optional `--checkpoint-from <path>` flag: skip every spec's warm-up by
 /// restoring fabric + source state from the blob at `path` — the warm-up
 /// fork. Applied to all specs of a sweep, so one warm-up (paid once with
-/// `--checkpoint-out`) fans out into many measurement points.
+/// `--checkpoint-out`) fans out into many measurement points. With
+/// `--trace-out`, tracing arms after the restore: a traced fork's trace
+/// covers measurement and drain only.
 pub fn checkpoint_from_flag() -> Option<String> {
     arg_value("--checkpoint-from")
 }

@@ -4,9 +4,14 @@
 //! trait), so scenario loading parses JSON by hand into a small value
 //! tree. Supports the full JSON grammar this workspace's spec files need:
 //! objects, arrays, strings with standard escapes, numbers, booleans and
-//! `null`.
+//! `null`. Nesting is capped at `MAX_DEPTH` so hostile input gets a
+//! parse error instead of overflowing the recursive descent's stack.
 
 use crate::backend::ScenarioError;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Spec files and
+/// request lines nest a handful of levels.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -27,7 +32,7 @@ impl Json {
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.err("trailing characters after JSON value"));
@@ -110,11 +115,16 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, ScenarioError> {
+    /// One value at nesting `depth` (the number of enclosing arrays and
+    /// objects).
+    fn value(&mut self, depth: usize) -> Result<Json, ScenarioError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+                Err(self.err(&format!("JSON nested deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -125,7 +135,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, ScenarioError> {
+    fn object(&mut self, depth: usize) -> Result<Json, ScenarioError> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -138,7 +148,7 @@ impl<'a> Parser<'a> {
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            let val = self.value()?;
+            let val = self.value(depth)?;
             fields.push((key, val));
             self.skip_ws();
             match self.peek() {
@@ -152,7 +162,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, ScenarioError> {
+    fn array(&mut self, depth: usize) -> Result<Json, ScenarioError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -161,7 +171,7 @@ impl<'a> Parser<'a> {
             return Ok(Json::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -281,6 +291,27 @@ mod tests {
         assert!(Json::parse("tru").is_err());
         let e = Json::parse("{\n\"a\": @}").unwrap_err();
         assert!(e.to_string().contains("line 2"), "{e}");
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.to_string().contains("nested deeper"), "{e}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn deep_hostile_nesting_is_a_parse_error() {
+        // Unterminated, far past any stack a recursive descent could use.
+        let e = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(matches!(e, ScenarioError::Parse(_)), "{e}");
     }
 
     #[test]

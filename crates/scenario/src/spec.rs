@@ -926,6 +926,18 @@ fn parse_phases(v: &Json, base: PhaseConfig) -> Result<PhaseConfig, ScenarioErro
             _ => return Err(ScenarioError::Parse(format!("unknown phase field {k:?}"))),
         }
     }
+    // A zero-length window measures nothing yet would report a clean,
+    // unsaturated run.
+    for (k, n) in [
+        ("measure_cycles", ph.measure_cycles),
+        ("measure_packets", ph.measure_packets),
+    ] {
+        if n == 0 {
+            return Err(ScenarioError::Parse(format!(
+                "phase {k:?} must be positive: an empty measurement window measures nothing"
+            )));
+        }
+    }
     Ok(ph)
 }
 
@@ -1536,6 +1548,25 @@ mod tests {
                 "error {e} should mention {needle}"
             );
         }
+    }
+
+    #[test]
+    fn empty_measurement_windows_are_rejected() {
+        for field in ["measure_cycles", "measure_packets"] {
+            let text = format!(
+                r#"{{"backend": "PacketVc4", "pattern": "UR", "rate": 0.1,
+                    "phases": {{"{field}": 0}}}}"#
+            );
+            let e = ScenarioSpec::parse(&text).unwrap_err();
+            assert!(matches!(e, ScenarioError::Parse(_)), "{e}");
+            assert!(e.to_string().contains(field), "{e} should name {field}");
+        }
+        // Zero warm-up and zero drain stay legal.
+        ScenarioSpec::parse(
+            r#"{"backend": "PacketVc4", "pattern": "UR", "rate": 0.1,
+                "phases": {"warmup_cycles": 0, "warmup_packets": 0, "drain_cycles": 0}}"#,
+        )
+        .expect("only the measurement window must be non-empty");
     }
 
     fn tiny_trace() -> Arc<PacketTrace> {

@@ -268,6 +268,18 @@ mod tests {
         );
     }
 
+    /// A request line nested far past the parser's depth cap is an
+    /// ordinary parse error answered with an error frame, not a stack
+    /// overflow that aborts the server.
+    #[test]
+    fn deeply_nested_request_gets_an_error_frame() {
+        let line = "[".repeat(200_000);
+        let e = parse_request(&line, "f").unwrap_err();
+        assert!(e.contains("nested deeper"), "{e}");
+        let frame = error_frame(None, &e);
+        assert_eq!(frame_kind(&frame).as_deref(), Some("error"));
+    }
+
     #[test]
     fn malformed_requests_are_rejected_with_context() {
         for (line, needle) in [

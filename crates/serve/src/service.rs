@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 
-use noc_bench::{run_spec, run_synthetic_spec_ctl, ServeRun, SpecOutcome, WarmStart};
+use noc_bench::{run_spec, run_spec_with, RunOptions, RunOutcome, SpecOutcome, WarmStart};
 use noc_scenario::{result_envelope, result_key, warmup_key, CacheKey, ScenarioSpec, TrafficSpec};
 use noc_sim::telemetry::metrics::window_frame;
 use noc_sim::{Fabric, TelemetryConfig};
@@ -501,8 +501,15 @@ impl ScenarioService {
             names: None,
             seen: 0,
         };
-        match run_synthetic_spec_ctl(spec, warm_start, stream_cfg.as_ref(), &mut ctl) {
-            Ok(ServeRun::Done { point, warm }) => {
+        let opts = RunOptions {
+            telemetry: stream_cfg.as_ref(),
+            warm: warm_start,
+            control: Some(&mut ctl),
+        };
+        match run_spec_with(spec, opts) {
+            Ok(RunOutcome::Done {
+                mut outcome, warm, ..
+            }) => {
                 if let (Some(k), Some(ck)) = (wk, warm) {
                     self.caches
                         .lock()
@@ -510,12 +517,15 @@ impl ScenarioService {
                         .warm
                         .put(k, Arc::new(ck));
                 }
+                // Service results must serialise reproducibly, like sweep
+                // envelopes.
+                outcome.clear_host_timing();
                 Settled::Done {
-                    outcome: SpecOutcome::Synth(point),
+                    outcome,
                     warm: warm_label,
                 }
             }
-            Ok(ServeRun::Cancelled { arena_live }) => Settled::Cancelled { arena_live },
+            Ok(RunOutcome::Cancelled { arena_live }) => Settled::Cancelled { arena_live },
             Err(e) => Settled::Error(e.to_string()),
         }
     }

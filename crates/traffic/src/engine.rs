@@ -67,15 +67,26 @@ pub fn run_phases(
     run_measurement(fabric, workload, phases)
 }
 
-/// [`run_phases`] with a [`RunControl`] hook; `None` when cancelled.
-pub fn run_phases_ctl(
+/// One engine cycle: tick the workload, inject what it offered, step the
+/// fabric, then consult the control. Returns the number of packets
+/// offered, or `None` when the control cancelled the run.
+#[inline]
+fn cycle(
     fabric: &mut dyn Fabric,
     workload: &mut dyn Workload,
-    phases: PhaseConfig,
+    measured: bool,
+    scratch: &mut Vec<(NodeId, Packet)>,
     ctl: &mut dyn RunControl,
-) -> Option<RunResult> {
-    run_warmup_ctl(fabric, workload, phases, ctl)?;
-    run_measurement_ctl(fabric, workload, phases, ctl)
+) -> Option<u64> {
+    let now = fabric.now();
+    scratch.clear();
+    workload.tick(now, measured, &mut |n, p| scratch.push((n, p)));
+    let offered = scratch.len() as u64;
+    for (n, p) in scratch.drain(..) {
+        fabric.inject(n, p);
+    }
+    fabric.step();
+    ctl.on_cycle(fabric).then_some(offered)
 }
 
 /// Phase 1, **warm-up**: unmeasured traffic for at least `warmup_cycles`
@@ -105,18 +116,8 @@ pub fn run_warmup_ctl(
     let mut injected = 0u64;
     let start = fabric.now();
     while fabric.now() - start < ph.warmup_cycles || injected < ph.warmup_packets {
-        let now = fabric.now();
-        scratch.clear();
-        workload.tick(now, false, &mut |n, p| scratch.push((n, p)));
+        injected += cycle(fabric, workload, false, &mut scratch, ctl)?;
         ticks += 1;
-        injected += scratch.len() as u64;
-        for (n, p) in scratch.drain(..) {
-            fabric.inject(n, p);
-        }
-        fabric.step();
-        if !ctl.on_cycle(fabric) {
-            return None;
-        }
         if fabric.now() - start > ph.warmup_cycles * 50 {
             break; // zero-rate guard
         }
@@ -165,17 +166,7 @@ pub fn run_measurement_ctl(
     let mstart = fabric.now();
     let mut offered_packets = 0u64;
     while fabric.now() - mstart < ph.measure_cycles && offered_packets < ph.measure_packets {
-        let now = fabric.now();
-        scratch.clear();
-        workload.tick(now, true, &mut |n, p| scratch.push((n, p)));
-        offered_packets += scratch.len() as u64;
-        for (n, p) in scratch.drain(..) {
-            fabric.inject(n, p);
-        }
-        fabric.step();
-        if !ctl.on_cycle(fabric) {
-            return None;
-        }
+        offered_packets += cycle(fabric, workload, true, &mut scratch, ctl)?;
     }
 
     // Accepted throughput is measured over the injection window only —
@@ -191,16 +182,7 @@ pub fn run_measurement_ctl(
         if fabric.stats().packets_delivered >= fabric.stats().packets_offered {
             break;
         }
-        let now = fabric.now();
-        scratch.clear();
-        workload.tick(now, false, &mut |n, p| scratch.push((n, p)));
-        for (n, p) in scratch.drain(..) {
-            fabric.inject(n, p);
-        }
-        fabric.step();
-        if !ctl.on_cycle(fabric) {
-            return None;
-        }
+        cycle(fabric, workload, false, &mut scratch, ctl)?;
     }
     fabric.end_measurement();
     // Leakage/throughput accounting uses the injection window only.
@@ -302,7 +284,7 @@ mod tests {
         let mut net = Network::new(mesh, |id| PacketNode::new(id, &cfg, None));
         let mut src = SyntheticSource::new(mesh, TrafficPattern::UniformRandom, 0.05, 5, 11);
         let mut ctl = CancelAfter(40, 0);
-        let r = run_phases_ctl(&mut net, &mut src, PhaseConfig::quick(), &mut ctl);
+        let r = run_warmup_ctl(&mut net, &mut src, PhaseConfig::quick(), &mut ctl);
         assert!(r.is_none(), "cancelled runs return no result");
         assert_eq!(net.now(), 40, "the run stopped on the cancelling tick");
         // The fabric is still usable: the caller can drain it clean.
@@ -318,7 +300,9 @@ mod tests {
             let mut net = Network::new(mesh, |id| PacketNode::new(id, &cfg, None));
             let mut src = SyntheticSource::new(mesh, TrafficPattern::Transpose, 0.08, 5, 7);
             if ctl {
-                run_phases_ctl(&mut net, &mut src, PhaseConfig::quick(), &mut FreeRun).unwrap()
+                let ph = PhaseConfig::quick();
+                run_warmup_ctl(&mut net, &mut src, ph, &mut FreeRun).unwrap();
+                run_measurement_ctl(&mut net, &mut src, ph, &mut FreeRun).unwrap()
             } else {
                 run_phases(&mut net, &mut src, PhaseConfig::quick())
             }

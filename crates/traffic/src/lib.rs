@@ -12,8 +12,8 @@ pub mod source;
 
 pub use driver::{OpenLoop, PhaseConfig, RunResult};
 pub use engine::{
-    run_measurement, run_measurement_ctl, run_phases, run_phases_ctl, run_warmup, run_warmup_ctl,
-    FreeRun, RunControl, Workload,
+    run_measurement, run_measurement_ctl, run_phases, run_warmup, run_warmup_ctl, FreeRun,
+    RunControl, Workload,
 };
 pub use pattern::TrafficPattern;
 pub use source::{PacketFactory, SyntheticSource};

@@ -242,6 +242,56 @@ JSON
   done
 done
 
+echo "== traced warm-up capture and fork (--checkpoint-out/--checkpoint-from with --trace-out) =="
+# Telemetry arms after the warm-up/restore boundary on these runs: the
+# traced capture writes the same blob as the untraced one, and the traced
+# fork measures exactly what the untraced fork does.
+cat > "$SWEEP_TMP/fork_base.json" <<'JSON'
+[ { "backend": "HybridTdmVc4", "mesh": 4,
+    "traffic": { "pattern": "UR", "rate": 0.10 },
+    "phases": { "warmup_cycles": 300, "warmup_packets": 50,
+                "measure_cycles": 1500, "measure_packets": 2000,
+                "drain_cycles": 3000 },
+    "seed": 31 } ]
+JSON
+cat > "$SWEEP_TMP/fork_points.json" <<'JSON'
+[ { "backend": "HybridTdmVc4", "mesh": 4,
+    "traffic": { "pattern": "TR", "rate": 0.08 },
+    "phases": { "warmup_cycles": 300, "warmup_packets": 50,
+                "measure_cycles": 1500, "measure_packets": 2000,
+                "drain_cycles": 3000 },
+    "seed": 32 },
+  { "backend": "HybridTdmVc4", "mesh": 4,
+    "traffic": { "pattern": "UR", "rate": 0.15 },
+    "phases": { "warmup_cycles": 300, "warmup_packets": 50,
+                "measure_cycles": 1500, "measure_packets": 2000,
+                "drain_cycles": 3000 },
+    "seed": 33 } ]
+JSON
+cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
+    --scenario "$SWEEP_TMP/fork_base.json" --checkpoint-out "$SWEEP_TMP/fork_warm.ckpt" > /dev/null
+cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
+    --scenario "$SWEEP_TMP/fork_base.json" --checkpoint-out "$SWEEP_TMP/fork_warm_traced.ckpt" \
+    --trace-out "$SWEEP_TMP/capture_trace.json" > /dev/null
+cmp "$SWEEP_TMP/fork_warm.ckpt" "$SWEEP_TMP/fork_warm_traced.ckpt"
+cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
+    --scenario "$SWEEP_TMP/fork_points.json" --json "$SWEEP_TMP/fork_plain.json" \
+    --checkpoint-from "$SWEEP_TMP/fork_warm.ckpt" > /dev/null
+cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
+    --scenario "$SWEEP_TMP/fork_points.json" --json "$SWEEP_TMP/fork_traced.json" \
+    --checkpoint-from "$SWEEP_TMP/fork_warm.ckpt" --trace-out "$SWEEP_TMP/fork_trace.json" > /dev/null
+python3 - "$SWEEP_TMP" <<'PY'
+import json, sys
+tmp = sys.argv[1]
+for name in ("fork_plain", "fork_traced"):
+    env = json.load(open(f"{tmp}/{name}.json"))
+    json.dump(env["data"], open(f"{tmp}/{name}.data.json", "w"), sort_keys=True)
+assert "telemetry" in json.load(open(f"{tmp}/fork_traced.json")), "no telemetry block"
+PY
+cmp "$SWEEP_TMP/fork_plain.data.json" "$SWEEP_TMP/fork_traced.data.json"
+test -s "$SWEEP_TMP/fork_trace-0.json" && test -s "$SWEEP_TMP/fork_trace-1.json"
+echo "traced capture blob and traced fork data identical to untraced runs"
+
 echo "== checkpoint version gate (a blob from an older layout is refused) =="
 # The blob version is the u32 after the 8-byte magic; stamp the previous
 # value into the SDM torus blob left by the loop above.
@@ -263,6 +313,21 @@ fi
 grep -q "version" "$SWEEP_TMP/ckpt_old.err"
 rm -f "$SWEEP_TMP/warm.ckpt"
 echo "old-version checkpoint refused with a version error"
+
+echo "== hostile spec nesting (a parse error with exit 2, not a stack overflow) =="
+python3 -c 'print("[" * 200000)' > "$SWEEP_TMP/deep.json"
+if cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
+    --scenario "$SWEEP_TMP/deep.json" > /dev/null 2> "$SWEEP_TMP/deep.err"; then
+    DEEP_RC=0
+else
+    DEEP_RC=$?
+fi
+if [[ "$DEEP_RC" -ne 2 ]]; then
+    echo "deep-nesting spec exited $DEEP_RC, expected 2"
+    exit 1
+fi
+grep -q "nested deeper" "$SWEEP_TMP/deep.err"
+echo "deep-nesting spec refused: $(tail -n 1 "$SWEEP_TMP/deep.err")"
 
 echo "== transient-fault TDM scenario (kill + revive, repair FSM, drain) =="
 cat > "$SWEEP_TMP/fault.json" <<'JSON'
