@@ -115,6 +115,31 @@ impl Snap for StreamVia {
     }
 }
 
+/// The circuit side's hot summary (DESIGN.md §17): the only circuit state
+/// an idle `step`, `pump_cs`, `occupancy`, `sleep_until` and `power_state`
+/// read, so a tile with no circuit work costs what a packet tile does.
+/// Exact, derived from the queues it counts: restore rebuilds it and
+/// snapshots never carry it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct CircuitSummary {
+    /// Flits across all `cs_queues` entries.
+    queued_flits: usize,
+    /// Flits across `share_queue`.
+    share_flits: usize,
+    /// A CS burst is mid-stream (`streaming.is_some()`).
+    streaming: bool,
+    /// Powered DLT entries (leakage), fixed by the sharing configuration.
+    dlt_entries: u32,
+}
+
+impl CircuitSummary {
+    /// No message waits for a circuit and no burst is in flight.
+    #[inline]
+    fn idle(&self) -> bool {
+        self.queued_flits == 0 && self.share_flits == 0 && !self.streaming
+    }
+}
+
 /// The hybrid tile model.
 pub struct TdmNode {
     id: NodeId,
@@ -132,10 +157,8 @@ pub struct TdmNode {
     cs_queues: NodeTable<VecDeque<QueuedCs>>,
     share_queue: VecDeque<ShareMsg>,
     streaming: Option<CsStream>,
-    /// Flits across all `cs_queues` entries (O(1) occupancy).
-    queued_cs_flits: usize,
-    /// Flits across `share_queue` (O(1) occupancy).
-    share_flits: usize,
+    /// Summary of the circuit queues and the burst above.
+    hot: CircuitSummary,
     /// Vicinity-sharing failure counters per real destination (2-bit).
     share_fails: NodeTable<u8>,
     next_path_id: u64,
@@ -179,6 +202,14 @@ impl TdmNode {
             nic.set_inject_vc_limit(cfg.net.router.vcs_per_port / 2);
         }
         nic.set_arena(arena.clone());
+        let hot = CircuitSummary {
+            dlt_entries: if cfg.sharing.hitchhiker {
+                cfg.sharing.dlt_entries as u32
+            } else {
+                0
+            },
+            ..CircuitSummary::default()
+        };
         TdmNode {
             id,
             cfg: *cfg,
@@ -192,8 +223,7 @@ impl TdmNode {
             cs_queues: NodeTable::new(n),
             share_queue: VecDeque::with_capacity(8),
             streaming: None,
-            queued_cs_flits: 0,
-            share_flits: 0,
+            hot,
             share_fails: NodeTable::new(n),
             next_path_id: 0,
             cs_frozen: false,
@@ -293,7 +323,7 @@ impl TdmNode {
                 let slot_wait =
                     cs_est.saturating_sub(2 * self.cfg.net.mesh.hops(self.id, dst) as u64 + 2);
                 if self.within_budget(cs_est, slot_wait, dst) {
-                    self.queued_cs_flits += pkt.len_flits as usize;
+                    self.hot.queued_flits += pkt.len_flits as usize;
                     self.cs_queues.entry_or_default(dst).push_back(QueuedCs {
                         packet: pkt,
                         true_dst: None,
@@ -315,7 +345,7 @@ impl TdmNode {
         if self.cfg.sharing.hitchhiker {
             if let Some(e) = self.dlt.lookup(dst) {
                 let ride = e.dst;
-                self.share_flits += pkt.len_flits as usize;
+                self.hot.share_flits += pkt.len_flits as usize;
                 self.router.pipeline.trace.record(
                     now,
                     self.id.0,
@@ -343,7 +373,7 @@ impl TdmNode {
                     let slot_wait = cs_est
                         .saturating_sub(2 * self.cfg.net.mesh.hops(self.id, conn.dst) as u64 + 2);
                     if self.within_budget(cs_est, slot_wait, dst) {
-                        self.queued_cs_flits += pkt.len_flits as usize;
+                        self.hot.queued_flits += pkt.len_flits as usize;
                         self.cs_queues
                             .entry_or_default(conn.dst)
                             .push_back(QueuedCs {
@@ -358,7 +388,7 @@ impl TdmNode {
             if self.cfg.sharing.hitchhiker {
                 if let Some(e) = self.dlt.lookup_vicinity(&self.cfg.net.mesh, dst) {
                     let ride = e.dst;
-                    self.share_flits += pkt.len_flits as usize;
+                    self.hot.share_flits += pkt.len_flits as usize;
                     self.router.pipeline.trace.record(
                         now,
                         self.id.0,
@@ -505,7 +535,7 @@ impl TdmNode {
         // Any messages still queued for it go packet-switched.
         if let Some(q) = self.cs_queues.remove(dst) {
             for m in q {
-                self.queued_cs_flits -= m.packet.len_flits as usize;
+                self.hot.queued_flits -= m.packet.len_flits as usize;
                 self.requeue_ps(m.packet, m.true_dst);
             }
         }
@@ -604,6 +634,19 @@ impl TdmNode {
     /// Advance or start circuit-switched streaming; returns whether the
     /// local port was used for a CS flit this cycle.
     fn pump_cs(&mut self, now: Cycle) -> bool {
+        // Nothing queued for a circuit, nothing waiting to hitchhike and no
+        // burst in flight: the work below is a guaranteed no-op (the
+        // summary is exact — see `debug_validate_summary`).
+        if self.hot.idle() {
+            return false;
+        }
+        let used = self.stream_cs(now);
+        self.hot.streaming = self.streaming.is_some();
+        used
+    }
+
+    /// [`TdmNode::pump_cs`] with circuit work pending.
+    fn stream_cs(&mut self, now: Cycle) -> bool {
         // Continue an in-progress burst.
         if let Some(s) = &mut self.streaming {
             let flit = s.flits[s.next];
@@ -651,12 +694,6 @@ impl TdmNode {
         if self.cs_frozen {
             return false;
         }
-        // Nothing queued for a circuit and nothing waiting to hitchhike:
-        // the scans below are guaranteed no-ops (the flit counters are
-        // exact — see the `occupancy` debug asserts).
-        if self.queued_cs_flits == 0 && self.share_queue.is_empty() {
-            return false;
-        }
 
         let slot_now = self.router.slots.slot_of(now);
 
@@ -674,7 +711,7 @@ impl TdmNode {
                 .get_mut(dst)
                 .and_then(|q| q.pop_front())
                 .expect("non-empty queue");
-            self.queued_cs_flits -= q.packet.len_flits as usize;
+            self.hot.queued_flits -= q.packet.len_flits as usize;
             let flits = self.build_cs_flits(&q);
             if q.true_dst.is_some() {
                 self.router.pipeline.events.vicinity_rides += 1;
@@ -715,7 +752,7 @@ impl TdmNode {
             .collect();
         for i in expired.into_iter().rev() {
             let msg = self.share_queue.remove(i).expect("index valid");
-            self.share_flits -= msg.packet.len_flits as usize;
+            self.hot.share_flits -= msg.packet.len_flits as usize;
             self.router.pipeline.trace.record(
                 now,
                 self.id.0,
@@ -733,7 +770,7 @@ impl TdmNode {
                 .is_some_and(|e| e.slot == slot_now)
         }) {
             let msg = self.share_queue.remove(pos).expect("position valid");
-            self.share_flits -= msg.packet.len_flits as usize;
+            self.hot.share_flits -= msg.packet.len_flits as usize;
             let e = *self.dlt.lookup(msg.ride_dst).expect("checked above");
             let vicinity = msg.final_dst != msg.ride_dst;
             let q = QueuedCs {
@@ -811,83 +848,9 @@ impl TdmNode {
         }
     }
 
-    // --- resize support (§II-C) --------------------------------------------
-
-    /// Freeze circuit switching (resize phase 1): flush queued CS work onto
-    /// the packet-switched network and stop starting new bursts.
-    pub fn set_cs_frozen(&mut self, frozen: bool) {
-        self.cs_frozen = frozen;
-        if frozen {
-            // Canonical ascending-id order: the flush lands messages on the
-            // packet-switched network in a deterministic sequence however
-            // the queues were populated.
-            for (_, q) in self.cs_queues.drain_sorted() {
-                for m in q {
-                    self.requeue_ps(m.packet, m.true_dst);
-                }
-            }
-            let shares: Vec<_> = self.share_queue.drain(..).collect();
-            for m in shares {
-                self.requeue_ps(m.packet, Some(m.final_dst));
-            }
-            self.queued_cs_flits = 0;
-            self.share_flits = 0;
-        }
-    }
-
-    /// Whether this node still has a circuit burst in flight (the resize
-    /// controller waits for all of these before resetting).
-    pub fn cs_streaming(&self) -> bool {
-        self.streaming.is_some()
-    }
-
-    /// Resize phase 2: reset all slot tables to `new_active` entries and
-    /// restart path setup from scratch.
-    pub fn reset_for_resize(&mut self, new_active: u16) {
-        assert!(self.streaming.is_none(), "reset during an active CS burst");
-        self.router.reset_slots(new_active);
-        self.registry.clear();
-        self.dlt.clear();
-        self.share_fails.clear();
-    }
-
-    /// Share of this node's slot-table entries currently reserved at the
-    /// local port (diagnostics).
-    pub fn local_reserved_fraction(&self) -> f64 {
-        self.router.slots.reserved_fraction(Port::Local)
-    }
-}
-
-impl NodeModel for TdmNode {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-
-    fn inject(&mut self, now: Cycle, pkt: Packet) {
-        match pkt.class {
-            MsgClass::Data => self.dispatch(now, pkt),
-            MsgClass::Config => self.nic.enqueue_front(pkt),
-        }
-    }
-
-    fn accept_flit(&mut self, now: Cycle, from: Direction, flit: Flit) {
-        self.router.accept_flit(now, from.as_port(), flit);
-    }
-
-    fn accept_credit(&mut self, _now: Cycle, from: Direction, credit: Credit) {
-        self.router.pipeline.accept_credit(from, credit);
-    }
-
-    fn accept_vc_count(&mut self, _now: Cycle, from: Direction, count: u8) {
-        self.router.pipeline.accept_vc_count(from, count);
-    }
-
-    fn step(&mut self, now: Cycle, out: &mut NodeOutputs) {
-        // Local-port credits freed last cycle.
-        for vc in self.router.pipeline.local_credits.drain(..) {
-            self.nic.credit(vc);
-        }
-
+    /// Fold in what the router's circuit side produced: DLT observations,
+    /// acks from the local router, and circuit-switched ejections.
+    fn absorb_router_side(&mut self, now: Cycle) {
         // DLT maintenance from configuration messages seen by the router.
         for obs in self.router.dlt_observations.drain(..) {
             if !self.cfg.sharing.hitchhiker {
@@ -952,6 +915,118 @@ impl NodeModel for TdmNode {
                 self.nic.accept_ejected(now, flit);
             }
         }
+    }
+
+    /// The hot summary recomputed from the queues it counts (full scan).
+    fn scan_summary(&self) -> CircuitSummary {
+        CircuitSummary {
+            queued_flits: self
+                .cs_queues
+                .values()
+                .flat_map(|q| q.iter())
+                .map(|m| m.packet.len_flits as usize)
+                .sum(),
+            share_flits: self
+                .share_queue
+                .iter()
+                .map(|m| m.packet.len_flits as usize)
+                .sum(),
+            streaming: self.streaming.is_some(),
+            dlt_entries: if self.cfg.sharing.hitchhiker {
+                self.cfg.sharing.dlt_entries as u32
+            } else {
+                0
+            },
+        }
+    }
+
+    /// Cross-check the hot summary against a full scan (debug builds only;
+    /// the release hot path trusts the increments).
+    #[cfg(debug_assertions)]
+    fn debug_validate_summary(&self) {
+        debug_assert_eq!(self.hot, self.scan_summary(), "circuit summary drifted");
+    }
+
+    // --- resize support (§II-C) --------------------------------------------
+
+    /// Freeze circuit switching (resize phase 1): flush queued CS work onto
+    /// the packet-switched network and stop starting new bursts.
+    pub fn set_cs_frozen(&mut self, frozen: bool) {
+        self.cs_frozen = frozen;
+        if frozen {
+            // Canonical ascending-id order: the flush lands messages on the
+            // packet-switched network in a deterministic sequence however
+            // the queues were populated.
+            for (_, q) in self.cs_queues.drain_sorted() {
+                for m in q {
+                    self.requeue_ps(m.packet, m.true_dst);
+                }
+            }
+            let shares: Vec<_> = self.share_queue.drain(..).collect();
+            for m in shares {
+                self.requeue_ps(m.packet, Some(m.final_dst));
+            }
+            self.hot.queued_flits = 0;
+            self.hot.share_flits = 0;
+        }
+    }
+
+    /// Whether this node still has a circuit burst in flight (the resize
+    /// controller waits for all of these before resetting).
+    pub fn cs_streaming(&self) -> bool {
+        self.streaming.is_some()
+    }
+
+    /// Resize phase 2: reset all slot tables to `new_active` entries and
+    /// restart path setup from scratch.
+    pub fn reset_for_resize(&mut self, new_active: u16) {
+        assert!(self.streaming.is_none(), "reset during an active CS burst");
+        self.router.reset_slots(new_active);
+        self.registry.clear();
+        self.dlt.clear();
+        self.share_fails.clear();
+    }
+
+    /// Share of this node's slot-table entries currently reserved at the
+    /// local port (diagnostics).
+    pub fn local_reserved_fraction(&self) -> f64 {
+        self.router.slots.reserved_fraction(Port::Local)
+    }
+}
+
+impl NodeModel for TdmNode {
+    fn id(&self) -> NodeId {
+        self.id
+    }
+
+    fn inject(&mut self, now: Cycle, pkt: Packet) {
+        match pkt.class {
+            MsgClass::Data => self.dispatch(now, pkt),
+            MsgClass::Config => self.nic.enqueue_front(pkt),
+        }
+    }
+
+    fn accept_flit(&mut self, now: Cycle, from: Direction, flit: Flit) {
+        self.router.accept_flit(now, from.as_port(), flit);
+    }
+
+    fn accept_credit(&mut self, _now: Cycle, from: Direction, credit: Credit) {
+        self.router.pipeline.accept_credit(from, credit);
+    }
+
+    fn accept_vc_count(&mut self, _now: Cycle, from: Direction, count: u8) {
+        self.router.pipeline.accept_vc_count(from, count);
+    }
+
+    fn step(&mut self, now: Cycle, out: &mut NodeOutputs) {
+        // Local-port credits freed last cycle.
+        for vc in self.router.pipeline.local_credits.drain(..) {
+            self.nic.credit(vc);
+        }
+
+        if self.router.has_side_work() {
+            self.absorb_router_side(now);
+        }
 
         // Local port: circuit-switched bursts take priority; otherwise one
         // packet-switched flit.
@@ -965,21 +1040,23 @@ impl NodeModel for TdmNode {
         self.router.step(now, out);
 
         // Packet-switched ejections: data to the NIC, acks to the policy.
-        let mut ejected = std::mem::take(&mut self.router.pipeline.ejected);
-        for flit in ejected.drain(..) {
-            if flit.class() == MsgClass::Config {
-                if flit.config.is_some() {
-                    let kind = self.arena.get(flit.config);
-                    self.arena.free(flit.config);
-                    if let ConfigKind::Ack { info, success } = kind {
-                        self.handle_ack(now, info, success);
+        if !self.router.pipeline.ejected.is_empty() {
+            let mut ejected = std::mem::take(&mut self.router.pipeline.ejected);
+            for flit in ejected.drain(..) {
+                if flit.class() == MsgClass::Config {
+                    if flit.config.is_some() {
+                        let kind = self.arena.get(flit.config);
+                        self.arena.free(flit.config);
+                        if let ConfigKind::Ack { info, success } = kind {
+                            self.handle_ack(now, info, success);
+                        }
                     }
+                    continue;
                 }
-                continue;
+                self.nic.accept_ejected(now, flit);
             }
-            self.nic.accept_ejected(now, flit);
+            self.router.pipeline.ejected = ejected;
         }
-        self.router.pipeline.ejected = ejected;
 
         // Aggressive VC power gating (§III-B).
         if let Some(g) = &mut self.gating {
@@ -999,6 +1076,8 @@ impl NodeModel for TdmNode {
                 }
             }
         }
+        #[cfg(debug_assertions)]
+        self.debug_validate_summary();
     }
 
     fn attach_arena(&mut self, arena: &Arc<ConfigArena>) {
@@ -1044,32 +1123,18 @@ impl NodeModel for TdmNode {
     }
 
     fn occupancy(&self) -> usize {
-        debug_assert_eq!(
-            self.queued_cs_flits,
-            self.cs_queues
-                .values()
-                .flat_map(|q| q.iter())
-                .map(|m| m.packet.len_flits as usize)
-                .sum::<usize>(),
-            "queued-CS flit counter out of sync"
-        );
-        debug_assert_eq!(
-            self.share_flits,
-            self.share_queue
-                .iter()
-                .map(|m| m.packet.len_flits as usize)
-                .sum::<usize>(),
-            "share-queue flit counter out of sync"
-        );
+        let ps = self.router.pipeline.occupancy() + self.nic.occupancy();
+        if self.hot.idle() {
+            return ps + self.router.circuit_occupancy();
+        }
         let streaming = self
             .streaming
             .as_ref()
             .map(|s| s.flits.len() - s.next)
             .unwrap_or(0);
-        self.router.occupancy()
-            + self.nic.occupancy()
-            + self.queued_cs_flits
-            + self.share_flits
+        ps + self.router.circuit_occupancy()
+            + self.hot.queued_flits
+            + self.hot.share_flits
             + streaming
     }
 
@@ -1077,11 +1142,7 @@ impl NodeModel for TdmNode {
         PowerState {
             buffer_slots: self.router.pipeline.powered_buffer_slots(),
             slot_entries: self.router.slots.powered_entries(),
-            dlt_entries: if self.cfg.sharing.hitchhiker {
-                self.cfg.sharing.dlt_entries as u32
-            } else {
-                0
-            },
+            dlt_entries: self.hot.dlt_entries,
         }
     }
 
@@ -1089,11 +1150,12 @@ impl NodeModel for TdmNode {
         // Anything in flight — flits in the router/NIC, a CS burst mid-
         // stream, credits owed, or unprocessed DLT observations — means the
         // next step does real work.
-        if self.streaming.is_some()
+        if self.hot.streaming
             || self.nic.occupancy() != 0
-            || self.router.occupancy() != 0
+            || self.router.pipeline.occupancy() != 0
             || !self.router.pipeline.local_credits.is_empty()
-            || self.router.has_deferred_signals()
+            || (self.router.has_side_work()
+                && (self.router.circuit_occupancy() != 0 || self.router.has_deferred_signals()))
         {
             return None;
         }
@@ -1101,6 +1163,9 @@ impl NodeModel for TdmNode {
             Some(g) => g.next_eval(),
             None => Cycle::MAX,
         };
+        if self.hot.idle() {
+            return Some(wake);
+        }
         // Messages waiting for a TDM slot are deferred, not active: the
         // slot-table wheel says exactly when `pump_cs` can next make
         // progress, so wake at the earliest relevant slot occurrence
@@ -1171,20 +1236,10 @@ impl NodeModel for TdmNode {
         self.cs_frozen = r.bool()?;
         self.slot_scan = r.u16()?;
         self.pinned = Snap::load(r)?;
-        // The O(1) occupancy counters are derived state: recompute instead
-        // of trusting the snapshot (they can then never disagree with the
-        // queues they summarise).
-        self.queued_cs_flits = self
-            .cs_queues
-            .values()
-            .flat_map(|q| q.iter())
-            .map(|m| m.packet.len_flits as usize)
-            .sum();
-        self.share_flits = self
-            .share_queue
-            .iter()
-            .map(|m| m.packet.len_flits as usize)
-            .sum();
+        // The hot summary is derived state: recompute instead of trusting
+        // the snapshot (it can then never disagree with the queues it
+        // summarises).
+        self.hot = self.scan_summary();
         Ok(())
     }
 
@@ -1204,6 +1259,7 @@ impl NodeModel for TdmNode {
         // (already-sent flits were purged from wires by the harness).
         if self.streaming.as_ref().is_some_and(|s| s.origin.id == pid) {
             let s = self.streaming.take().expect("checked above");
+            self.hot.streaming = false;
             dropped += s.flits.len() - s.next;
             self.recycle_flits(s.flits);
         }
@@ -1222,7 +1278,7 @@ impl NodeModel for TdmNode {
             });
             true
         });
-        self.queued_cs_flits -= queued_dropped;
+        self.hot.queued_flits -= queued_dropped;
         dropped += queued_dropped;
         let mut share_dropped = 0usize;
         self.share_queue.retain(|m| {
@@ -1233,7 +1289,7 @@ impl NodeModel for TdmNode {
                 true
             }
         });
-        self.share_flits -= share_dropped;
+        self.hot.share_flits -= share_dropped;
         dropped + share_dropped
     }
 }

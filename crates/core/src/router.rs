@@ -22,8 +22,8 @@ use std::sync::Arc;
 use noc_sim::routing::{west_first_route, xy_route};
 use noc_sim::{
     ConfigArena, ConfigKind, Credit, Cycle, Direction, EventKind, Flit, HybridCtrl, Mesh, MsgClass,
-    NodeId, NodeOutputs, Packet, PacketId, Port, PsPipeline, RouterConfig, Snap, SnapshotError,
-    SnapshotReader, SnapshotWriter, Switching,
+    NodeId, NodeOutputs, NullCtrl, Packet, PacketId, Port, PsPipeline, RouterConfig, Snap,
+    SnapshotError, SnapshotReader, SnapshotWriter, Switching,
 };
 
 use crate::slot_table::SlotTables;
@@ -138,13 +138,23 @@ pub struct TdmRouter {
     pub slots: SlotTables,
     /// CS flit arriving this cycle per input port, with its resolved output.
     cs_latch: [Option<(Flit, Port)>; Port::COUNT],
+    /// Inputs whose latch holds a CS flit (bit = `Port::index`). Derived
+    /// from `cs_latch`, never serialised: an idle step reads this byte
+    /// instead of the five latches.
+    latched: u8,
+    /// Set whenever the circuit side gives the node or the next step
+    /// something to do: a CS flit latches, or a configuration message is
+    /// processed (DLT observation, ack, owed credit). `step` clears it once
+    /// the latches and all four side queues are empty, so a clear flag
+    /// proves them empty. Derived, never serialised.
+    side_work: bool,
     /// Configuration packets generated here (acks), to be injected by the
     /// local NIC.
-    pub protocol_out: Vec<Packet>,
+    pub(crate) protocol_out: Vec<Packet>,
     /// DLT updates for the local node.
-    pub dlt_observations: Vec<DltObservation>,
+    pub(crate) dlt_observations: Vec<DltObservation>,
     /// Circuit-switched flits whose path ends at this node.
-    pub cs_ejected: Vec<Flit>,
+    pub(crate) cs_ejected: Vec<Flit>,
     /// Time-slot stealing enabled (§II-D); disabling turns reserved-idle
     /// outputs into blocked ones (ablation).
     pub time_slot_stealing: bool,
@@ -172,6 +182,8 @@ impl TdmRouter {
             pipeline: PsPipeline::new(id, mesh, cfg),
             slots: SlotTables::new(slot_capacity, slot_active, reservation_cap),
             cs_latch: Default::default(),
+            latched: 0,
+            side_work: false,
             // Small per-cycle scratch: seeded so steady-state churn
             // stays off the allocator (DESIGN.md §17).
             protocol_out: Vec::with_capacity(8),
@@ -224,11 +236,6 @@ impl TdmRouter {
                     now,
                 )
             });
-            debug_assert!(
-                self.cs_latch[port.index()].is_none(),
-                "two CS flits in one cycle"
-            );
-            self.pipeline.events.cs_latch_writes += 1;
             if flit.kind().is_head() && entry.out != Port::Local {
                 self.dlt_observations.push(DltObservation::Confirm {
                     dst: entry.dst,
@@ -236,7 +243,7 @@ impl TdmRouter {
                     slot: self.slots.slot_of(now),
                 });
             }
-            self.cs_latch[port.index()] = Some((flit, entry.out));
+            self.latch(port, flit, entry.out);
             return;
         }
         if flit.class() == MsgClass::Config && flit.kind().is_head() {
@@ -260,9 +267,7 @@ impl TdmRouter {
             return false;
         };
         let out = entry.out;
-        debug_assert!(self.cs_latch[Port::Local.index()].is_none());
-        self.pipeline.events.cs_latch_writes += 1;
-        self.cs_latch[Port::Local.index()] = Some((flit, out));
+        self.latch(Port::Local, flit, out);
         true
     }
 
@@ -277,10 +282,10 @@ impl TdmRouter {
         expected_dst: NodeId,
     ) -> bool {
         self.pipeline.events.slot_lookups += 1;
-        if self.cs_latch[in_port.index()].is_some() {
+        if self.cs_arriving_on(in_port) {
             return false; // upstream burst wins
         }
-        if self.cs_latch[Port::Local.index()].is_some() {
+        if self.cs_arriving_on(Port::Local) {
             return false; // our own crossbar input is taken
         }
         let Some(entry) = self.slots.lookup(in_port, now) else {
@@ -290,15 +295,31 @@ impl TdmRouter {
             return false; // slot now belongs to a different path
         }
         let out = entry.out;
-        self.pipeline.events.cs_latch_writes += 1;
-        self.cs_latch[Port::Local.index()] = Some((flit, out));
+        self.latch(Port::Local, flit, out);
         true
+    }
+
+    /// Latch a CS flit on `port` for this cycle's traversal toward `out`.
+    fn latch(&mut self, port: Port, flit: Flit, out: Port) {
+        debug_assert!(!self.cs_arriving_on(port), "two CS flits in one cycle");
+        self.pipeline.events.cs_latch_writes += 1;
+        self.cs_latch[port.index()] = Some((flit, out));
+        self.latched |= 1 << port.index();
+        self.side_work = true;
     }
 
     /// Whether an upstream CS flit occupies `in_port` this cycle (visible
     /// one cycle in advance via the paper's designated signal wire).
     pub fn cs_arriving_on(&self, in_port: Port) -> bool {
-        self.cs_latch[in_port.index()].is_some()
+        self.latched & (1 << in_port.index()) != 0
+    }
+
+    /// Whether the circuit side may hold work for the node: latched CS
+    /// flits, ejected CS flits, acks, DLT observations or owed credits.
+    /// `false` proves all of them empty, so an idle step skips them.
+    #[inline]
+    pub fn has_side_work(&self) -> bool {
+        self.side_work
     }
 
     /// Return the buffer credit of a configuration flit consumed on
@@ -314,6 +335,8 @@ impl TdmRouter {
     /// Process `setup`/`teardown` on arrival (the reservation check of
     /// §II-B happens when the message enters the router).
     fn process_config(&mut self, now: Cycle, in_port: Port, mut flit: Flit) {
+        // Every outcome may queue an observation, an ack or a credit.
+        self.side_work = true;
         let kind = self.arena.get(flit.config);
         match kind {
             ConfigKind::Setup(info) => {
@@ -449,24 +472,46 @@ impl TdmRouter {
     /// Advance one cycle: circuit-switched traversal, then the
     /// packet-switched pipeline under the hybrid constraints.
     pub fn step(&mut self, now: Cycle, out: &mut NodeOutputs) {
-        // Credits for configuration flits consumed on arrival.
-        for (port, vc) in self.pending_credits.drain(..) {
-            let dir = port
-                .direction()
-                .expect("local credits go via local_credits");
-            out.credits.push((dir, noc_sim::Credit { vc }));
-        }
-        // Build the per-cycle constraint view. One pass over the latches
-        // yields both the blocked inputs and the outputs busy with a circuit
-        // flit this cycle; the slot tables answer "reserved in this slot"
-        // with a single byte (maintained incrementally by reserve/release).
-        let mut latched_outs = 0u8;
-        let mut blocked_ins = 0u8;
-        for (p, l) in self.cs_latch.iter().enumerate() {
-            if let Some((_, cs_out)) = l {
-                latched_outs |= 1 << cs_out.index();
-                blocked_ins |= 1 << p;
+        if self.side_work {
+            // Credits for configuration flits consumed on arrival.
+            for (port, vc) in self.pending_credits.drain(..) {
+                let dir = port
+                    .direction()
+                    .expect("local credits go via local_credits");
+                out.credits.push((dir, noc_sim::Credit { vc }));
             }
+        }
+        if self.latched == 0 && !self.slots.any_reserved() {
+            // Idle circuit side: no CS flit crosses the switch and no
+            // output is reserved in any slot, so `TdmCtrl` would constrain
+            // nothing. `NullCtrl` runs the very same pipeline step.
+            self.pipeline.step(now, &mut NullCtrl, out);
+        } else {
+            self.step_hybrid(now, out);
+        }
+        if self.side_work {
+            self.side_work = self.side_queues_pending();
+        }
+        #[cfg(debug_assertions)]
+        self.debug_validate_latches();
+    }
+
+    /// The step with a live circuit side: latched CS flits cross the
+    /// pre-configured crossbar, then the packet-switched pipeline runs
+    /// under the slot table's constraints.
+    fn step_hybrid(&mut self, now: Cycle, out: &mut NodeOutputs) {
+        // Build the per-cycle constraint view from the latch mask: the
+        // blocked inputs, and the outputs busy with a circuit flit this
+        // cycle; the slot tables answer "reserved in this slot" with a
+        // single byte (maintained incrementally by reserve/release).
+        let blocked_ins = self.latched;
+        let mut latched_outs = 0u8;
+        let mut bits = self.latched;
+        while bits != 0 {
+            let p = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let (_, cs_out) = self.cs_latch[p].expect("latch mask names a full latch");
+            latched_outs |= 1 << cs_out.index();
         }
         let reserved_outs = self.slots.reserved_outputs(now);
         // Without stealing, an idle reservation blocks like a busy one.
@@ -484,10 +529,13 @@ impl TdmRouter {
         // Circuit-switched traversal: one cycle through the pre-configured
         // crossbar, no buffering.
         let mut used_outputs = 0u8;
-        for p in 0..Port::COUNT {
-            let Some((flit, o)) = self.cs_latch[p].take() else {
-                continue;
-            };
+        let mut bits = std::mem::take(&mut self.latched);
+        while bits != 0 {
+            let p = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let (flit, o) = self.cs_latch[p]
+                .take()
+                .expect("latch mask names a full latch");
             debug_assert_eq!(used_outputs & (1 << o.index()), 0, "CS output collision");
             used_outputs |= 1 << o.index();
             self.pipeline
@@ -495,6 +543,38 @@ impl TdmRouter {
         }
 
         self.pipeline.step(now, &mut ctrl, out);
+    }
+
+    /// Cross-check the derived circuit-side state against a full scan
+    /// (debug builds only): the latch mask against the latches, and a
+    /// clear `side_work` flag against empty side queues.
+    #[cfg(debug_assertions)]
+    fn debug_validate_latches(&self) {
+        debug_assert_eq!(self.latched, self.scan_latches(), "latch mask drifted");
+        debug_assert!(
+            self.side_work || !self.side_queues_pending(),
+            "side work hidden behind a clear flag"
+        );
+    }
+
+    /// The latch mask recomputed from the latches.
+    fn scan_latches(&self) -> u8 {
+        let mut latched = 0u8;
+        for (p, l) in self.cs_latch.iter().enumerate() {
+            if l.is_some() {
+                latched |= 1 << p;
+            }
+        }
+        latched
+    }
+
+    /// Whether any latch or side queue holds something (full scan).
+    fn side_queues_pending(&self) -> bool {
+        self.latched != 0
+            || !self.cs_ejected.is_empty()
+            || !self.dlt_observations.is_empty()
+            || !self.protocol_out.is_empty()
+            || !self.pending_credits.is_empty()
     }
 
     /// Reset all slot tables to `new_active` entries (dynamic granularity
@@ -515,8 +595,17 @@ impl TdmRouter {
 
     /// Flits owned by the router (drain detection).
     pub fn occupancy(&self) -> usize {
-        self.pipeline.occupancy()
-            + self.cs_latch.iter().flatten().count()
+        self.pipeline.occupancy() + self.circuit_occupancy()
+    }
+
+    /// Flits owned by the circuit side: latched and ejected CS flits and
+    /// the acks not yet handed to the NIC. Zero while
+    /// [`TdmRouter::has_side_work`] is `false`.
+    pub fn circuit_occupancy(&self) -> usize {
+        if !self.side_work {
+            return 0;
+        }
+        self.latched.count_ones() as usize
             + self.cs_ejected.len()
             + self
                 .protocol_out
@@ -538,9 +627,10 @@ impl TdmRouter {
         credits: &mut Vec<(Direction, Credit)>,
     ) -> usize {
         let mut dropped = self.pipeline.purge_packet(pid, arena, credits);
-        for l in &mut self.cs_latch {
+        for (p, l) in self.cs_latch.iter_mut().enumerate() {
             if l.as_ref().is_some_and(|(f, _)| f.packet == pid) {
                 *l = None;
+                self.latched &= !(1 << p);
                 dropped += 1;
             }
         }
@@ -574,6 +664,9 @@ impl TdmRouter {
         self.cs_ejected = Snap::load(r)?;
         self.pending_credits = Snap::load(r)?;
         self.next_protocol_id = r.u64()?;
+        // Derived state: rebuilt from what was restored.
+        self.latched = self.scan_latches();
+        self.side_work = self.side_queues_pending();
         Ok(())
     }
 }
@@ -921,6 +1014,78 @@ mod tests {
         assert!(r.inject_cs_local(2, cs_flit(80, r.id(), dst, 0, 4)));
         // Unreserved slot: no injection.
         assert!(!r.inject_cs_local(7, cs_flit(81, r.id(), dst, 0, 4)));
+    }
+
+    /// The latch mask and the side-work flag follow every path that fills
+    /// or empties a latch, and a restore rebuilds both.
+    #[test]
+    fn latch_mask_tracks_every_latch_path() {
+        fn check(r: &TdmRouter, want: u8) {
+            assert_eq!(r.latched, want, "latch mask");
+            assert_eq!(r.scan_latches(), want, "latches");
+            assert!(r.side_work || !r.side_queues_pending(), "hidden side work");
+        }
+        let m = mesh();
+        let mut r = router_at(m, Coord::new(1, 1));
+        let src = m.id(Coord::new(0, 1));
+        let dst = m.id(Coord::new(3, 1));
+        let (west, local) = (1 << Port::West.index(), 1 << Port::Local.index());
+        assert!(!r.has_side_work(), "a fresh router has nothing pending");
+        // West→East in slots 6..10 (through traffic), Local→East in 2..6.
+        r.accept_flit(0, Port::West, setup_flit(r.arena(), src, dst, 6, 4, 1));
+        r.accept_flit(0, Port::Local, setup_flit(r.arena(), r.id(), dst, 2, 4, 2));
+        assert!(r.has_side_work(), "setups queue DLT observations");
+        check(&r, 0);
+
+        // accept_flit: an upstream CS flit latches West; a hitchhiker
+        // cannot board the same slot.
+        r.accept_flit(6, Port::West, cs_flit(90, src, dst, 0, 4));
+        check(&r, west);
+        assert!(r.cs_arriving_on(Port::West));
+        assert!(!r.inject_cs_hitchhike(6, cs_flit(91, r.id(), dst, 0, 4), Port::West, dst));
+        check(&r, west);
+        let mut out = NodeOutputs::default();
+        r.step(6, &mut out);
+        check(&r, 0);
+
+        // inject_cs_local, then purge_packet empties the latch again.
+        assert!(r.inject_cs_local(18, cs_flit(92, r.id(), dst, 0, 4)));
+        check(&r, local);
+        let mut credits = Vec::new();
+        assert_eq!(
+            r.purge_packet(PacketId(92), &ConfigArena::new(), &mut credits),
+            1
+        );
+        check(&r, 0);
+
+        // inject_cs_hitchhike, then save_state/load_state.
+        assert!(r.inject_cs_hitchhike(22, cs_flit(93, r.id(), dst, 0, 4), Port::West, dst));
+        check(&r, local);
+        let mut w = SnapshotWriter::new();
+        r.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = router_at(m, Coord::new(1, 1));
+        restored
+            .load_state(&mut SnapshotReader::new(&bytes))
+            .expect("restore");
+        check(&restored, local);
+        assert_eq!(restored.has_side_work(), r.has_side_work());
+
+        // Both traverse the latched flit identically, and once every side
+        // queue is drained the flag clears.
+        let (mut a, mut b) = (NodeOutputs::default(), NodeOutputs::default());
+        r.step(22, &mut a);
+        restored.step(22, &mut b);
+        let key = |o: &NodeOutputs| -> Vec<_> {
+            o.flits.iter().map(|(d, f)| (*d, f.packet, f.seq)).collect()
+        };
+        assert_eq!(key(&a), key(&b));
+        assert!(key(&a).contains(&(noc_sim::Direction::East, PacketId(93), 0)));
+        check(&r, 0);
+        check(&restored, 0);
+        r.dlt_observations.clear();
+        r.step(23, &mut a);
+        assert!(!r.has_side_work(), "drained side queues leave the flag set");
     }
 
     #[test]

@@ -124,6 +124,14 @@ impl SlotTables {
         self.tables[self.at(port, self.slot_of(t) as usize)].as_ref()
     }
 
+    /// Whether any entry is reserved, at any port and slot. Reads only the
+    /// inline per-port counts: the idle-router fast path asks this every
+    /// cycle instead of loading the slot's output mask.
+    #[inline]
+    pub fn any_reserved(&self) -> bool {
+        self.valid_counts.iter().any(|&c| c != 0)
+    }
+
     /// Bitmask (by `Port::index`) of output ports reserved in the slot
     /// controlling cycle `t` — the O(1) read behind the per-cycle
     /// switch-constraint build.

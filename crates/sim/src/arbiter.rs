@@ -1,5 +1,7 @@
 //! Round-robin arbiters used by the separable VC and switch allocators.
 
+use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+
 /// The first set bit of `mask` at or after `start`, wrapping around to the
 /// low bits: a fixed-priority search that begins at `start`. Two
 /// `trailing_zeros` probes, no loop.
@@ -89,16 +91,24 @@ impl RoundRobin {
     /// the slice variant becomes two `trailing_zeros` probes: first over the
     /// bits at or past the start position, then over the wrapped-around low
     /// bits. Grant-for-grant identical to `grant` on the same request set.
+    #[inline]
     pub fn grant_mask(&mut self, mask: u64) -> Option<usize> {
         debug_assert!(self.n <= 64, "mask arbiter supports at most 64 requesters");
         debug_assert!(
             self.n == 64 || mask >> self.n == 0,
             "request mask has bits beyond the requester count"
         );
+        debug_assert!(self.n == 0 || self.last < self.n, "pointer out of range");
         if self.n == 0 {
             return None;
         }
-        let i = first_from(mask, (self.last + 1) % self.n)?;
+        // `last < n`, so one past it wraps with a compare, not a divide.
+        let start = if self.last + 1 == self.n {
+            0
+        } else {
+            self.last + 1
+        };
+        let i = first_from(mask, start)?;
         self.last = i;
         Some(i)
     }
@@ -115,8 +125,23 @@ impl RoundRobin {
 }
 
 // Arbiter pointers are simulation state: a restored allocator must grant
-// in exactly the order the continuous run would have.
-crate::impl_snap!(RoundRobin { n, last });
+// in exactly the order the continuous run would have. A pointer past the
+// requester count is refused: `grant_mask` relies on `last < n`.
+impl Snap for RoundRobin {
+    fn save(&self, w: &mut SnapshotWriter) {
+        w.usize(self.n);
+        w.usize(self.last);
+    }
+
+    fn load(r: &mut SnapshotReader) -> Result<Self, SnapshotError> {
+        let n = r.usize()?;
+        let last = r.usize()?;
+        if last >= n.max(1) {
+            return Err(SnapshotError::Corrupt("arbiter pointer"));
+        }
+        Ok(RoundRobin { n, last })
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -190,6 +215,21 @@ mod tests {
         assert_eq!(a.grant_mask(u64::MAX), Some(0));
         assert_eq!(a.grant_mask(1 << 63), Some(63));
         assert_eq!(a.grant_mask(u64::MAX), Some(0));
+    }
+
+    #[test]
+    fn snapshot_round_trips_and_refuses_a_pointer_out_of_range() {
+        let mut a = RoundRobin::new(4);
+        a.grant_mask(0b0100);
+        let mut w = SnapshotWriter::new();
+        a.save(&mut w);
+        w.usize(4);
+        w.usize(4);
+        let bytes = w.into_bytes();
+        let mut r = SnapshotReader::new(&bytes);
+        let mut b = RoundRobin::load(&mut r).expect("valid arbiter");
+        assert_eq!(b.grant_mask(0b1111), Some(3));
+        assert!(RoundRobin::load(&mut r).is_err(), "pointer 4 of 4 accepted");
     }
 
     #[test]

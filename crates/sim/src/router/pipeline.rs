@@ -167,9 +167,11 @@ pub struct PsPipeline {
     /// Per-output flag: the link out of this port crosses the wrap edge
     /// (precomputed from [`Mesh::wraps`] at construction).
     wrap_out: [bool; Port::COUNT],
-    va_arb: Vec<RoundRobin>,
-    sa_arb_in: Vec<RoundRobin>,
-    sa_arb_out: Vec<RoundRobin>,
+    // Allocator arbiters, one per port, inline: the SA/VA stages read
+    // them on every busy step without a pointer chase.
+    va_arb: [RoundRobin; Port::COUNT],
+    sa_arb_in: [RoundRobin; Port::COUNT],
+    sa_arb_out: [RoundRobin; Port::COUNT],
     // Utilisation sampling for the VC gating controller. Sampling is
     // time-based so the activity scheduler can skip idle cycles: the first
     // step after a gap credits the skipped cycles with `prev_busy` (the busy
@@ -259,13 +261,9 @@ impl PsPipeline {
             active_vcs: cfg.vcs_per_port,
             vc_half,
             wrap_out,
-            va_arb: (0..Port::COUNT)
-                .map(|_| RoundRobin::new(Port::COUNT * vcs))
-                .collect(),
-            sa_arb_in: (0..Port::COUNT).map(|_| RoundRobin::new(vcs)).collect(),
-            sa_arb_out: (0..Port::COUNT)
-                .map(|_| RoundRobin::new(Port::COUNT))
-                .collect(),
+            va_arb: std::array::from_fn(|_| RoundRobin::new(Port::COUNT * vcs)),
+            sa_arb_in: std::array::from_fn(|_| RoundRobin::new(vcs)),
+            sa_arb_out: std::array::from_fn(|_| RoundRobin::new(Port::COUNT)),
             busy_vc_samples: 0,
             active_vc_samples: 0,
             last_sample: 0,
@@ -1033,9 +1031,9 @@ impl PsPipeline {
         self.local_credits.save(w);
         self.events.save(w);
         w.u8(self.active_vcs);
-        self.va_arb.save(w);
-        self.sa_arb_in.save(w);
-        self.sa_arb_out.save(w);
+        for arbs in [&self.va_arb, &self.sa_arb_in, &self.sa_arb_out] {
+            save_arbiters(arbs, w);
+        }
         w.u64(self.busy_vc_samples);
         w.u64(self.active_vc_samples);
         w.u64(self.last_sample);
@@ -1077,9 +1075,9 @@ impl PsPipeline {
         self.local_credits = Snap::load(r)?;
         self.events = Snap::load(r)?;
         self.active_vcs = r.u8()?;
-        self.va_arb = Snap::load(r)?;
-        self.sa_arb_in = Snap::load(r)?;
-        self.sa_arb_out = Snap::load(r)?;
+        for arbs in [&mut self.va_arb, &mut self.sa_arb_in, &mut self.sa_arb_out] {
+            *arbs = load_arbiters(r)?;
+        }
         self.busy_vc_samples = r.u64()?;
         self.active_vc_samples = r.u64()?;
         self.last_sample = r.u64()?;
@@ -1092,6 +1090,22 @@ impl PsPipeline {
         self.rebuild_stage_masks();
         Ok(())
     }
+}
+
+/// Encode one per-port arbiter array as the `Vec<RoundRobin>` it used to
+/// be (length prefix, then each arbiter), so blobs keep their layout.
+fn save_arbiters(arbs: &[RoundRobin; Port::COUNT], w: &mut SnapshotWriter) {
+    w.usize(Port::COUNT);
+    for a in arbs {
+        a.save(w);
+    }
+}
+
+/// Inverse of [`save_arbiters`].
+fn load_arbiters(r: &mut SnapshotReader) -> Result<[RoundRobin; Port::COUNT], SnapshotError> {
+    let arbs: Vec<RoundRobin> = Snap::load(r)?;
+    arbs.try_into()
+        .map_err(|_| SnapshotError::Mismatch("pipeline arbiter count"))
 }
 
 #[cfg(test)]
