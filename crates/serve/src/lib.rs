@@ -27,6 +27,6 @@ pub mod service;
 pub use cache::{HitSource, ResultCache, WarmCache};
 pub use proto::{
     bye_frame, cancelled_frame, error_frame, frame_kind, parse_request, result_frame, window_line,
-    Request, RunRequest, DEFAULT_STREAM_WINDOW,
+    LineReader, ReadLine, Request, RunRequest, DEFAULT_STREAM_WINDOW, MAX_REQUEST_LINE,
 };
 pub use service::{ScenarioService, ServeConfig, ServeStats};

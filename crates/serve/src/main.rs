@@ -21,7 +21,8 @@ use std::time::{Duration, Instant};
 
 use noc_scenario::{parse_pattern, quick_flag, BackendKind, Json, ScenarioSpec};
 use noc_serve::{
-    bye_frame, error_frame, frame_kind, parse_request, Request, ScenarioService, ServeConfig,
+    bye_frame, error_frame, frame_kind, parse_request, LineReader, ReadLine, Request,
+    ScenarioService, ServeConfig,
 };
 use noc_traffic::PhaseConfig;
 
@@ -117,10 +118,16 @@ fn serve_stdin(svc: &ScenarioService) {
                 let _ = out.flush();
             }
         });
-        let stdin = std::io::stdin();
+        let mut lines = LineReader::new(std::io::stdin().lock());
         let mut n = 0u64;
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
+        while let Ok(Some(line)) = lines.next_line() {
+            let line = match line {
+                ReadLine::Line(line) => line,
+                ReadLine::Refused(e) => {
+                    let _ = tx.send(error_frame(None, &e));
+                    continue;
+                }
+            };
             let line = line.trim();
             if line.is_empty() {
                 continue;
@@ -212,29 +219,29 @@ fn handle_conn(svc: &ScenarioService, stream: UnixStream, conn: u64, stop: &Atom
     });
     // Short read timeout so the reader notices a server-wide shutdown.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut reader = BufReader::new(&stream);
-    let mut buf = String::new();
+    let mut reader = LineReader::new(BufReader::new(&stream));
     let mut n = 0u64;
     loop {
         if stop.load(Ordering::Relaxed) {
             break;
         }
-        match reader.read_line(&mut buf) {
-            Ok(0) => break,
-            Ok(_) => {
-                let line = buf.trim();
+        match reader.next_line() {
+            Ok(None) => break,
+            Ok(Some(ReadLine::Line(line))) => {
+                let line = line.trim();
                 if !line.is_empty() {
                     n += 1;
                     if dispatch(svc, line, &format!("c{conn}-{n}"), &tx) {
                         stop.store(true, Ordering::Relaxed);
                         svc.shutdown();
-                        buf.clear();
                         break;
                     }
                 }
-                buf.clear();
             }
-            // Timeout mid-line: partial bytes stay in `buf`, keep reading.
+            Ok(Some(ReadLine::Refused(e))) => {
+                let _ = tx.send(error_frame(None, &e));
+            }
+            // Timeout mid-line: the reader keeps the partial line.
             Err(e)
                 if matches!(
                     e.kind(),

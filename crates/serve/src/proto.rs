@@ -21,9 +21,100 @@
 //! `error`, `stats`, `bye`. Result envelopes are spliced into the frame
 //! as the exact cached bytes — a cache hit is byte-identical to the frame
 //! the original run produced.
+//!
+//! Request lines are read through [`LineReader`], which caps a line at
+//! [`MAX_REQUEST_LINE`] bytes: a longer line is answered with an `error`
+//! frame naming the cap and skipped without being buffered, and the next
+//! line is served as usual.
+
+use std::io::{self, BufRead};
 
 use noc_scenario::{Json, ScenarioSpec};
 use serde::Value;
+
+/// Longest request line the server reads, in bytes, newline excluded. A
+/// request is a few hundred bytes; a line this long is broken or hostile.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// One line from a [`LineReader`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ReadLine {
+    /// A complete request line, newline stripped.
+    Line(String),
+    /// A line refused unread: the message for its `error` frame.
+    Refused(String),
+}
+
+/// Reads request lines of at most `cap` bytes. The bytes of a longer line
+/// are discarded as they arrive, so one line never holds more than `cap`
+/// bytes of memory. An I/O error, a read timeout included, keeps the
+/// partial line: the next call resumes it.
+pub struct LineReader<R> {
+    inner: R,
+    cap: usize,
+    buf: Vec<u8>,
+    /// The current line outgrew `cap`; its remaining bytes are skipped.
+    overflow: bool,
+}
+
+impl<R: BufRead> LineReader<R> {
+    /// A reader capped at [`MAX_REQUEST_LINE`].
+    pub fn new(inner: R) -> Self {
+        Self::with_cap(inner, MAX_REQUEST_LINE)
+    }
+
+    pub fn with_cap(inner: R, cap: usize) -> Self {
+        LineReader {
+            inner,
+            cap,
+            buf: Vec::new(),
+            overflow: false,
+        }
+    }
+
+    /// The next line, or `Ok(None)` at end of input. A last line without a
+    /// newline still counts.
+    pub fn next_line(&mut self) -> io::Result<Option<ReadLine>> {
+        loop {
+            let chunk = match self.inner.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if chunk.is_empty() {
+                if self.buf.is_empty() && !self.overflow {
+                    return Ok(None);
+                }
+                return Ok(Some(self.finish()));
+            }
+            let newline = chunk.iter().position(|&b| b == b'\n');
+            let take = newline.unwrap_or(chunk.len());
+            if !self.overflow {
+                if self.buf.len() + take > self.cap {
+                    self.overflow = true;
+                    self.buf = Vec::new();
+                } else {
+                    self.buf.extend_from_slice(&chunk[..take]);
+                }
+            }
+            self.inner.consume(take + usize::from(newline.is_some()));
+            if newline.is_some() {
+                return Ok(Some(self.finish()));
+            }
+        }
+    }
+
+    fn finish(&mut self) -> ReadLine {
+        let bytes = std::mem::take(&mut self.buf);
+        if std::mem::take(&mut self.overflow) {
+            return ReadLine::Refused(format!("request line longer than {} bytes", self.cap));
+        }
+        match String::from_utf8(bytes) {
+            Ok(line) => ReadLine::Line(line),
+            Err(_) => ReadLine::Refused("request line is not valid UTF-8".into()),
+        }
+    }
+}
 
 /// One parsed request line. One transient value per line, so the spec
 /// payload of `Run` stays unboxed despite the variant size skew.
@@ -278,6 +369,72 @@ mod tests {
         assert!(e.contains("nested deeper"), "{e}");
         let frame = error_frame(None, &e);
         assert_eq!(frame_kind(&frame).as_deref(), Some("error"));
+    }
+
+    fn lines(input: &[u8], cap: usize) -> Vec<ReadLine> {
+        let mut r = LineReader::with_cap(input, cap);
+        std::iter::from_fn(|| r.next_line().expect("in-memory read")).collect()
+    }
+
+    #[test]
+    fn over_long_lines_are_refused_and_the_next_line_served() {
+        let text = |s: &str| ReadLine::Line(s.to_string());
+        let refused = ReadLine::Refused("request line longer than 4 bytes".into());
+        assert_eq!(
+            lines(b"abcd\nabcde\n{}\nvery long line\nlast", 4),
+            [
+                text("abcd"),
+                refused.clone(),
+                text("{}"),
+                refused.clone(),
+                text("last")
+            ]
+        );
+        assert_eq!(lines(b"", 4), []);
+        assert_eq!(lines(b"\n\xff\n", 4)[0], text(""));
+        assert!(matches!(&lines(b"\xff\n", 4)[0], ReadLine::Refused(m) if m.contains("UTF-8")));
+    }
+
+    /// A socket read timeout mid-line loses nothing: the partial line and
+    /// the overflow state carry over to the next call.
+    #[test]
+    fn a_timeout_mid_line_resumes_the_line() {
+        struct Stutter(Vec<&'static [u8]>);
+        impl io::Read for Stutter {
+            fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+                match self.0.first_mut() {
+                    None => Ok(0),
+                    Some(b) if b.is_empty() => {
+                        self.0.remove(0);
+                        Err(io::ErrorKind::WouldBlock.into())
+                    }
+                    Some(b) => {
+                        let n = b.len().min(out.len());
+                        out[..n].copy_from_slice(&b[..n]);
+                        *b = &b[n..];
+                        Ok(n)
+                    }
+                }
+            }
+        }
+        let src = Stutter(vec![b"ab", b"", b"c\nxxx", b"", b"xx\nok\n"]);
+        let mut r = LineReader::with_cap(io::BufReader::with_capacity(2, src), 4);
+        let mut got = Vec::new();
+        loop {
+            match r.next_line() {
+                Ok(Some(l)) => got.push(l),
+                Ok(None) => break,
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
+            }
+        }
+        assert_eq!(
+            got,
+            [
+                ReadLine::Line("abc".into()),
+                ReadLine::Refused("request line longer than 4 bytes".into()),
+                ReadLine::Line("ok".into()),
+            ]
+        );
     }
 
     #[test]

@@ -360,3 +360,99 @@ fn oversized_mesh_gets_an_error_frame_not_a_dead_worker() {
     assert!(frames[0].contains("mesh"), "{}", frames[0]);
     assert_eq!(frame_kind(frames[1]).as_deref(), Some("stats"));
 }
+
+/// A request line one byte past `MAX_REQUEST_LINE`, then a stats request.
+fn over_long_then_stats() -> Vec<u8> {
+    let mut input = vec![b'['; noc_serve::MAX_REQUEST_LINE + 1];
+    input.extend_from_slice(b"\n{\"op\":\"stats\"}\n");
+    input
+}
+
+/// The frames answering [`over_long_then_stats`]: an error naming the cap,
+/// then the stats frame of the line after it.
+fn assert_cap_error_then_stats(frames: &[String]) {
+    assert_eq!(frames.len(), 2, "one frame per line: {frames:?}");
+    assert_eq!(frame_kind(&frames[0]).as_deref(), Some("error"));
+    let cap = noc_serve::MAX_REQUEST_LINE.to_string();
+    assert!(
+        frames[0].contains(&cap),
+        "error must name the cap: {}",
+        frames[0]
+    );
+    assert_eq!(frame_kind(&frames[1]).as_deref(), Some("stats"));
+}
+
+/// The one-shot stdin reader refuses an over-long request line with an
+/// error frame and serves the next line.
+#[test]
+fn over_long_stdin_line_gets_an_error_frame() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_noc-serve"))
+        .args(["--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn noc-serve");
+    let mut stdin = child.stdin.take().expect("stdin");
+    let writer = std::thread::spawn(move || stdin.write_all(&over_long_then_stats()));
+    let out = child.wait_with_output().expect("noc-serve exits");
+    writer.join().expect("writer").expect("write requests");
+    assert!(out.status.success(), "noc-serve failed: {out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 frames");
+    let frames: Vec<String> = stdout.lines().map(str::to_string).collect();
+    assert_cap_error_then_stats(&frames);
+}
+
+/// The socket reader does the same on a live connection, which stays open
+/// for the next request.
+#[test]
+fn over_long_socket_line_gets_an_error_frame() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+    use std::process::{Command, Stdio};
+
+    let dir = std::env::temp_dir().join(format!("noc-serve-cap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let sock = dir.join("serve.sock");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_noc-serve"))
+        .args(["--workers", "1", "--listen"])
+        .arg(&sock)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn noc-serve");
+    let mut stream = None;
+    for _ in 0..200 {
+        if let Ok(s) = UnixStream::connect(&sock) {
+            stream = Some(s);
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+    let stream = stream.expect("noc-serve did not come up");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("read timeout");
+    let mut w = stream.try_clone().expect("clone stream");
+    let writer = std::thread::spawn(move || w.write_all(&over_long_then_stats()));
+    let mut frames = Vec::new();
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    for _ in 0..2 {
+        let mut frame = String::new();
+        reader.read_line(&mut frame).expect("read frame");
+        frames.push(frame.trim_end().to_string());
+    }
+    writer.join().expect("writer").expect("write requests");
+    assert_cap_error_then_stats(&frames);
+    (&stream)
+        .write_all(b"{\"op\":\"shutdown\"}\n")
+        .expect("write shutdown");
+    let mut bye = String::new();
+    reader.read_line(&mut bye).expect("read bye");
+    assert_eq!(frame_kind(&bye).as_deref(), Some("bye"));
+    assert!(child.wait().expect("noc-serve exits").success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
