@@ -33,6 +33,12 @@ cargo test -q -p noc-sim --features exhaustive --test exhaustive_order "${OFFLIN
 echo "== zero-allocation steady state (counting global allocator) =="
 cargo test -q -p noc-bench --test zero_alloc "${OFFLINE[@]}"
 
+echo "== perfbench self-test (simulated statistics match the golden digests) =="
+# A kernel change that alters any simulated statistic, event counter or
+# nodes_stepped on the benchmark workloads fails here.
+cargo build --release --manifest-path perfbench/Cargo.toml "${OFFLINE[@]}"
+cargo run --release --quiet --manifest-path perfbench/Cargo.toml "${OFFLINE[@]}" -- --self-test
+
 echo "== network_step JSON bench (schema smoke) =="
 NS_TMP="$(mktemp -d)"
 cargo run --release -p noc-bench --bin network_step "${OFFLINE[@]}" -- \
