@@ -141,24 +141,30 @@ impl CircuitSummary {
 }
 
 /// The hybrid tile model.
+///
+/// `repr(C)` keeps the declared field order: the state every step reads
+/// (the circuit summary, NIC, gating controller and router) comes first
+/// and shares cache lines, the circuit bookkeeping an idle step never
+/// touches comes after it (DESIGN.md §17).
+#[repr(C)]
 pub struct TdmNode {
-    id: NodeId,
-    cfg: TdmConfig,
+    /// Summary of the circuit queues and the burst below.
+    hot: CircuitSummary,
     nic: Nic,
-    pub router: TdmRouter,
-    pub registry: ConnRegistry,
-    pub dlt: Dlt,
-    freq: FrequencyTracker,
     gating: Option<VcGatingController>,
+    pub router: TdmRouter,
+    id: NodeId,
     /// Configuration-payload arena shared by this node's NIC and router
     /// (and, once attached, by the whole network).
     arena: Arc<ConfigArena>,
+    cfg: TdmConfig,
+    pub registry: ConnRegistry,
+    pub dlt: Dlt,
+    freq: FrequencyTracker,
     /// CS messages waiting per connection endpoint.
     cs_queues: NodeTable<VecDeque<QueuedCs>>,
     share_queue: VecDeque<ShareMsg>,
     streaming: Option<CsStream>,
-    /// Summary of the circuit queues and the burst above.
-    hot: CircuitSummary,
     /// Vicinity-sharing failure counters per real destination (2-bit).
     share_fails: NodeTable<u8>,
     next_path_id: u64,

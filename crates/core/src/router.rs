@@ -16,6 +16,16 @@
 //!   pipeline), `teardown` walks the reserved path by slot-table reference
 //!   and invalidates it, and failures turn into `ack` messages heading back
 //!   to the source (§II-B).
+//!
+//! **`NullCtrl` equivalence.** With no CS flit latched and no slot
+//! reserved at any port, the per-cycle `TdmCtrl` blocks no input, admits
+//! every output and reports no steal. So it constrains nothing, and such a
+//! step runs `PsPipeline::step` with [`NullCtrl`] instead, which is the
+//! packet router's step. It reads no latch and no slot wheel, only the
+//! inline latch mask and the slot tables' per-port counts (DESIGN.md
+//! §17). `tests/packet_equivalence.rs` pins the result: a TDM network
+//! that never builds a circuit delivers exactly what the packet network
+//! delivers.
 
 use std::sync::Arc;
 
@@ -133,11 +143,13 @@ impl HybridCtrl for TdmCtrl {
 }
 
 /// The TDM hybrid-switched router.
+///
+/// `repr(C)` keeps the declared field order: the pipeline, the two
+/// circuit-side summaries and the slot tables' inline counts share cache
+/// lines; the latches and side queues an idle step skips come last.
+#[repr(C)]
 pub struct TdmRouter {
     pub pipeline: PsPipeline,
-    pub slots: SlotTables,
-    /// CS flit arriving this cycle per input port, with its resolved output.
-    cs_latch: [Option<(Flit, Port)>; Port::COUNT],
     /// Inputs whose latch holds a CS flit (bit = `Port::index`). Derived
     /// from `cs_latch`, never serialised: an idle step reads this byte
     /// instead of the five latches.
@@ -148,6 +160,14 @@ pub struct TdmRouter {
     /// the latches and all four side queues are empty, so a clear flag
     /// proves them empty. Derived, never serialised.
     side_work: bool,
+    /// Time-slot stealing enabled (§II-D); disabling turns reserved-idle
+    /// outputs into blocked ones (ablation).
+    pub time_slot_stealing: bool,
+    pub slots: SlotTables,
+    /// Credits owed upstream for configuration flits consumed on arrival
+    /// (a consumed flit never reaches the buffer-read stage where credits
+    /// are normally returned). Drained into the wires each cycle.
+    pending_credits: Vec<(Port, u8)>,
     /// Configuration packets generated here (acks), to be injected by the
     /// local NIC.
     pub(crate) protocol_out: Vec<Packet>,
@@ -155,18 +175,13 @@ pub struct TdmRouter {
     pub(crate) dlt_observations: Vec<DltObservation>,
     /// Circuit-switched flits whose path ends at this node.
     pub(crate) cs_ejected: Vec<Flit>,
-    /// Time-slot stealing enabled (§II-D); disabling turns reserved-idle
-    /// outputs into blocked ones (ablation).
-    pub time_slot_stealing: bool,
-    /// Credits owed upstream for configuration flits consumed on arrival
-    /// (a consumed flit never reaches the buffer-read stage where credits
-    /// are normally returned). Drained into the wires each cycle.
-    pending_credits: Vec<(Port, u8)>,
     /// Configuration-payload arena the router reads `setup`/`teardown`
     /// payloads from and re-interns advanced-slot forwards into. Private
     /// by default; the owning network swaps in its shared arena.
     arena: Arc<ConfigArena>,
     next_protocol_id: u64,
+    /// CS flit arriving this cycle per input port, with its resolved output.
+    cs_latch: [Option<(Flit, Port)>; Port::COUNT],
 }
 
 impl TdmRouter {

@@ -57,12 +57,18 @@ const _: () = assert!(
 );
 
 /// The five per-input-port slot tables of one hybrid router.
+///
+/// `repr(C)` puts the inline counts an idle router step reads
+/// ([`SlotTables::any_reserved`], [`SlotTables::powered_entries`]) first,
+/// next to the router's own per-step fields.
 #[derive(Clone, Debug)]
+#[repr(C)]
 pub struct SlotTables {
-    /// Slot entries, flat over `port * capacity + slot` (one contiguous
-    /// allocation instead of a Vec-of-Vecs; the per-cycle lookup is a
-    /// single indexed load).
-    tables: Box<[Option<SlotEntry>]>,
+    /// Valid entries per input port (cap accounting).
+    valid_counts: [u32; Port::COUNT],
+    active: u16,
+    capacity: u16,
+    cap_fraction: f64,
     /// Per-slot bitmask of reserved *output* ports (bit = `Port::index`),
     /// maintained by `try_reserve`/`release_path`/`reset`. Outputs are
     /// exclusive within a slot, so each set bit corresponds to exactly one
@@ -70,11 +76,10 @@ pub struct SlotTables {
     /// probing all five input tables. One byte caps the radix at 8 ports
     /// (checked at compile time below).
     out_masks: Vec<u8>,
-    capacity: u16,
-    active: u16,
-    cap_fraction: f64,
-    /// Valid entries per input port (cap accounting).
-    valid_counts: [u32; Port::COUNT],
+    /// Slot entries, flat over `port * capacity + slot` (one contiguous
+    /// allocation instead of a Vec-of-Vecs; the per-cycle lookup is a
+    /// single indexed load).
+    tables: Box<[Option<SlotEntry>]>,
 }
 
 impl SlotTables {

@@ -28,7 +28,7 @@ fn drive(fab: &mut dyn Fabric) -> Outcome {
             lcg = lcg
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
-            if (lcg >> 33) % 4 == 0 {
+            if (lcg >> 33).is_multiple_of(4) {
                 continue;
             }
             let dst = NodeId((lcg >> 40) as u32 % nodes);

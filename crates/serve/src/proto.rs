@@ -404,7 +404,7 @@ mod tests {
             fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
                 match self.0.first_mut() {
                     None => Ok(0),
-                    Some(b) if b.is_empty() => {
+                    Some([]) => {
                         self.0.remove(0);
                         Err(io::ErrorKind::WouldBlock.into())
                     }
