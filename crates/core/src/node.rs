@@ -1129,16 +1129,17 @@ impl NodeModel for TdmNode {
     }
 
     fn occupancy(&self) -> usize {
-        let ps = self.router.pipeline.occupancy() + self.nic.occupancy();
-        if self.hot.idle() {
-            return ps + self.router.circuit_occupancy();
-        }
-        let streaming = self
-            .streaming
-            .as_ref()
-            .map(|s| s.flits.len() - s.next)
-            .unwrap_or(0);
-        ps + self.router.circuit_occupancy()
+        // The burst itself is read only when the summary says one runs.
+        let streaming = if self.hot.streaming {
+            self.streaming
+                .as_ref()
+                .map_or(0, |s| s.flits.len() - s.next)
+        } else {
+            0
+        };
+        self.router.pipeline.occupancy()
+            + self.router.circuit_occupancy()
+            + self.nic.occupancy()
             + self.hot.queued_flits
             + self.hot.share_flits
             + streaming
@@ -1160,8 +1161,8 @@ impl NodeModel for TdmNode {
             || self.nic.occupancy() != 0
             || self.router.pipeline.occupancy() != 0
             || !self.router.pipeline.local_credits.is_empty()
-            || (self.router.has_side_work()
-                && (self.router.circuit_occupancy() != 0 || self.router.has_deferred_signals()))
+            || self.router.circuit_occupancy() != 0
+            || self.router.has_deferred_signals()
         {
             return None;
         }

@@ -600,22 +600,17 @@ impl TdmRouter {
         self.pipeline.events.slot_table_resizes += 1;
     }
 
-    /// Deferred signals not visible in [`TdmRouter::occupancy`]: credits
-    /// owed to upstream neighbours and DLT observations the node has not
-    /// yet folded in. The activity scheduler must not let a node sleep
-    /// while either is pending — the next step drains them.
+    /// Deferred signals not visible in [`TdmRouter::circuit_occupancy`]:
+    /// credits owed to upstream neighbours and DLT observations the node
+    /// has not yet folded in. The activity scheduler must not let a node
+    /// sleep while either is pending — the next step drains them.
     pub fn has_deferred_signals(&self) -> bool {
-        !self.pending_credits.is_empty() || !self.dlt_observations.is_empty()
+        self.side_work && (!self.pending_credits.is_empty() || !self.dlt_observations.is_empty())
     }
 
-    /// Flits owned by the router (drain detection).
-    pub fn occupancy(&self) -> usize {
-        self.pipeline.occupancy() + self.circuit_occupancy()
-    }
-
-    /// Flits owned by the circuit side: latched and ejected CS flits and
-    /// the acks not yet handed to the NIC. Zero while
-    /// [`TdmRouter::has_side_work`] is `false`.
+    /// Flits owned by the circuit side (drain detection): latched and
+    /// ejected CS flits and the acks not yet handed to the NIC. The
+    /// pipeline's own flits are `pipeline.occupancy()`.
     pub fn circuit_occupancy(&self) -> usize {
         if !self.side_work {
             return 0;
