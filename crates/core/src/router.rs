@@ -333,7 +333,7 @@ impl TdmRouter {
     /// flits, ejected CS flits, acks, DLT observations or owed credits.
     /// `false` proves all of them empty, so an idle step skips them.
     #[inline]
-    pub fn has_side_work(&self) -> bool {
+    pub(crate) fn has_side_work(&self) -> bool {
         self.side_work
     }
 
@@ -600,7 +600,7 @@ impl TdmRouter {
         self.pipeline.events.slot_table_resizes += 1;
     }
 
-    /// Deferred signals not visible in [`TdmRouter::circuit_occupancy`]:
+    /// Deferred signals not visible in `TdmRouter::circuit_occupancy`:
     /// credits owed to upstream neighbours and DLT observations the node
     /// has not yet folded in. The activity scheduler must not let a node
     /// sleep while either is pending — the next step drains them.
@@ -611,7 +611,7 @@ impl TdmRouter {
     /// Flits owned by the circuit side (drain detection): latched and
     /// ejected CS flits and the acks not yet handed to the NIC. The
     /// pipeline's own flits are `pipeline.occupancy()`.
-    pub fn circuit_occupancy(&self) -> usize {
+    pub(crate) fn circuit_occupancy(&self) -> usize {
         if !self.side_work {
             return 0;
         }

@@ -59,7 +59,7 @@ const _: () = assert!(
 /// The five per-input-port slot tables of one hybrid router.
 ///
 /// `repr(C)` puts the inline counts an idle router step reads
-/// ([`SlotTables::any_reserved`], [`SlotTables::powered_entries`]) first,
+/// (`any_reserved`, [`SlotTables::powered_entries`]) first,
 /// next to the router's own per-step fields.
 #[derive(Clone, Debug)]
 #[repr(C)]
@@ -133,7 +133,7 @@ impl SlotTables {
     /// inline per-port counts: the idle-router fast path asks this every
     /// cycle instead of loading the slot's output mask.
     #[inline]
-    pub fn any_reserved(&self) -> bool {
+    pub(crate) fn any_reserved(&self) -> bool {
         self.valid_counts.iter().any(|&c| c != 0)
     }
 

@@ -63,7 +63,7 @@ impl<R: BufRead> LineReader<R> {
         Self::with_cap(inner, MAX_REQUEST_LINE)
     }
 
-    pub fn with_cap(inner: R, cap: usize) -> Self {
+    fn with_cap(inner: R, cap: usize) -> Self {
         LineReader {
             inner,
             cap,
