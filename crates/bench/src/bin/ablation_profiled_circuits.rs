@@ -13,11 +13,10 @@
 //! points in the shared result envelope.
 
 use noc_bench::{
-    format_table, json_flag, paper_phases, quick_flag, result_envelope, run_spec,
+    format_table, json_flag, paper_phases, par_map, quick_flag, result_envelope, run_spec,
     scenario_mode_ran, step_threads_from_env, write_json, BackendKind, ScenarioSpec, SynthPoint,
 };
 use noc_traffic::TrafficPattern;
-use rayon::prelude::*;
 
 /// Top-N flows to pre-establish: enough to cover every transpose pair on
 /// the 6×6 mesh (30 off-diagonal flows) with headroom.
@@ -56,15 +55,12 @@ fn main() {
             })
         })
         .collect();
-    let points: Vec<SynthPoint> = specs
-        .par_iter()
-        .map(|spec| {
-            run_spec(spec)
-                .expect("spec runs")
-                .into_synth()
-                .expect("synthetic")
-        })
-        .collect();
+    let points: Vec<SynthPoint> = par_map(&specs, 0, |spec| {
+        run_spec(spec)
+            .expect("spec runs")
+            .into_synth()
+            .expect("synthetic")
+    });
 
     println!("=== Ablation — reactive setup vs profiled circuit plan (Hybrid-TDM-VC4, 6x6) ===");
     for pattern in &patterns {

@@ -6,13 +6,12 @@
 //! requires one extra slot on *every* reservation (§III-A2), and that
 //! standing 25 % bandwidth tax costs more than its rides recover here.
 
-use noc_bench::{format_table, quick_flag, scenario_mode_ran, BackendKind};
+use noc_bench::{format_table, par_map, quick_flag, scenario_mode_ran, BackendKind};
 use noc_hetero::{mix_phases, run_mix, Floorplan, HeteroWorkload, CPU_BENCHES, GPU_BENCHES};
 use noc_power::EnergyModel;
 use noc_scenario::hetero_tdm_config;
 use noc_sim::NetworkConfig;
 use noc_traffic::run_phases;
-use rayon::prelude::*;
 use tdm_noc::{SharingConfig, TdmNetwork};
 
 fn main() {
@@ -33,44 +32,40 @@ fn main() {
         ("hitchhiker+vicinity", SharingConfig::FULL),
     ];
 
-    let rows: Vec<Vec<String>> = variants
-        .par_iter()
-        .map(|(label, sharing)| {
-            let mut saving_sum = 0.0;
-            let (mut rides, mut vic, mut fails) = (0u64, 0u64, 0u64);
-            for &(gi, ci) in &mixes {
-                let base = run_mix(
-                    &CPU_BENCHES[ci],
-                    &GPU_BENCHES[gi],
-                    BackendKind::PacketVc4,
-                    phases,
-                    7,
-                )
-                .expect("mix runs");
-                let mut cfg =
-                    hetero_tdm_config(BackendKind::HybridTdmVc4, NetworkConfig::default())
-                        .expect("TDM backend");
-                cfg.sharing = *sharing;
-                let mut net = TdmNetwork::new(cfg);
-                let mut w =
-                    HeteroWorkload::new(Floorplan::figure7(), CPU_BENCHES[ci], GPU_BENCHES[gi], 7);
-                let r = run_phases(&mut net, &mut w, phases);
-                let e = EnergyModel::default().evaluate_stats(&r.stats);
-                saving_sum += e.saving_vs(&base.breakdown);
-                let ev = net.net.total_events();
-                rides += ev.hitchhike_rides;
-                vic += ev.vicinity_rides;
-                fails += ev.sharing_failures;
-            }
-            vec![
-                label.to_string(),
-                format!("{:+.1}", saving_sum / mixes.len() as f64 * 100.0),
-                rides.to_string(),
-                vic.to_string(),
-                fails.to_string(),
-            ]
-        })
-        .collect();
+    let rows: Vec<Vec<String>> = par_map(&variants, 0, |(label, sharing)| {
+        let mut saving_sum = 0.0;
+        let (mut rides, mut vic, mut fails) = (0u64, 0u64, 0u64);
+        for &(gi, ci) in &mixes {
+            let base = run_mix(
+                &CPU_BENCHES[ci],
+                &GPU_BENCHES[gi],
+                BackendKind::PacketVc4,
+                phases,
+                7,
+            )
+            .expect("mix runs");
+            let mut cfg = hetero_tdm_config(BackendKind::HybridTdmVc4, NetworkConfig::default())
+                .expect("TDM backend");
+            cfg.sharing = *sharing;
+            let mut net = TdmNetwork::new(cfg);
+            let mut w =
+                HeteroWorkload::new(Floorplan::figure7(), CPU_BENCHES[ci], GPU_BENCHES[gi], 7);
+            let r = run_phases(&mut net, &mut w, phases);
+            let e = EnergyModel::default().evaluate_stats(&r.stats);
+            saving_sum += e.saving_vs(&base.breakdown);
+            let ev = net.net.total_events();
+            rides += ev.hitchhike_rides;
+            vic += ev.vicinity_rides;
+            fails += ev.sharing_failures;
+        }
+        vec![
+            label.to_string(),
+            format!("{:+.1}", saving_sum / mixes.len() as f64 * 100.0),
+            rides.to_string(),
+            vic.to_string(),
+            fails.to_string(),
+        ]
+    });
 
     println!("=== §III-A ablation — path sharing variants (hetero mixes) ===\n");
     println!(

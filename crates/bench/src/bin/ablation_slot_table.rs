@@ -5,11 +5,10 @@
 //!
 //! Run with `--quick` for fewer points.
 
-use noc_bench::{format_table, paper_phases, quick_flag, scenario_mode_ran};
+use noc_bench::{format_table, paper_phases, par_map, quick_flag, scenario_mode_ran};
 use noc_power::EnergyModel;
 use noc_sim::{Mesh, Network, NetworkConfig, PacketNode};
 use noc_traffic::{OpenLoop, SyntheticSource, TrafficPattern};
-use rayon::prelude::*;
 use tdm_noc::{TdmConfig, TdmNetwork};
 
 fn main() {
@@ -36,22 +35,19 @@ fn main() {
     .run(&mut base);
     let base_energy = EnergyModel::default().evaluate_stats(&r_base.stats);
 
-    let results: Vec<_> = sizes
-        .par_iter()
-        .map(|&s| {
-            let mut cfg = TdmConfig::vc4(net_cfg);
-            cfg.slot_capacity = s;
-            cfg.policy.setup_after_msgs = 3;
-            cfg.policy.freq_window = 2_048;
-            let mut net = TdmNetwork::new(cfg);
-            let r = OpenLoop::new(
-                SyntheticSource::new(mesh, TrafficPattern::Tornado, rate, 5, 9),
-                phases,
-            )
-            .run(&mut net);
-            (s, r)
-        })
-        .collect();
+    let results: Vec<_> = par_map(&sizes, 0, |&s| {
+        let mut cfg = TdmConfig::vc4(net_cfg);
+        cfg.slot_capacity = s;
+        cfg.policy.setup_after_msgs = 3;
+        cfg.policy.freq_window = 2_048;
+        let mut net = TdmNetwork::new(cfg);
+        let r = OpenLoop::new(
+            SyntheticSource::new(mesh, TrafficPattern::Tornado, rate, 5, 9),
+            phases,
+        )
+        .run(&mut net);
+        (s, r)
+    });
 
     println!("=== §II-C ablation — slot-table size, tornado @ {rate} flits/node/cycle ===");
     println!(

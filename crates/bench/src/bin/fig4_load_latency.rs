@@ -7,12 +7,11 @@
 //! custom spec list.
 
 use noc_bench::{
-    ascii_chart, format_table, json_flag, max_goodput, paper_patterns, paper_phases, quick_flag,
-    rate_sweep, result_envelope, run_synthetic, scenario_mode_ran, step_threads_from_env,
-    write_json, BackendKind, ScenarioSpec, SynthPoint,
+    ascii_chart, format_table, json_flag, max_goodput, paper_patterns, paper_phases, par_map,
+    quick_flag, rate_sweep, result_envelope, run_synthetic, scenario_mode_ran,
+    step_threads_from_env, write_json, BackendKind, ScenarioSpec, SynthPoint,
 };
 use noc_sim::Mesh;
-use rayon::prelude::*;
 
 fn main() {
     if scenario_mode_ran() {
@@ -37,10 +36,9 @@ fn main() {
             spec.step_threads = step_threads_from_env();
             all_specs.push(spec);
         }
-        let points: Vec<SynthPoint> = jobs
-            .par_iter()
-            .map(|&(kind, rate)| run_synthetic(kind, mesh, pattern.clone(), rate, phases, 17))
-            .collect();
+        let points: Vec<SynthPoint> = par_map(&jobs, 0, |&(kind, rate)| {
+            run_synthetic(kind, mesh, pattern.clone(), rate, phases, 17)
+        });
         all_points.extend(points.iter().cloned());
 
         println!(

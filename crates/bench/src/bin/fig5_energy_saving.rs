@@ -8,12 +8,11 @@
 //! VCt adding 2.4–10.9 % (UR), 2.6–10.0 % (TOR), 4.1–9.7 % (TR) over VC4.
 
 use noc_bench::{
-    format_table, json_flag, paper_patterns, paper_phases, quick_flag, result_envelope,
+    format_table, json_flag, paper_patterns, paper_phases, par_map, quick_flag, result_envelope,
     run_synthetic, scenario_mode_ran, step_threads_from_env, write_json, BackendKind, ScenarioSpec,
     SynthPoint,
 };
 use noc_sim::Mesh;
-use rayon::prelude::*;
 
 fn main() {
     if scenario_mode_ran() {
@@ -55,16 +54,13 @@ fn main() {
             spec.step_threads = step_threads_from_env();
             all_specs.push(spec);
         }
-        let points: Vec<_> = jobs
-            .par_iter()
-            .map(|&(kind, rate)| {
-                (
-                    kind,
-                    rate,
-                    run_synthetic(kind, mesh, pattern.clone(), rate, phases, 23),
-                )
-            })
-            .collect();
+        let points: Vec<_> = par_map(&jobs, 0, |&(kind, rate)| {
+            (
+                kind,
+                rate,
+                run_synthetic(kind, mesh, pattern.clone(), rate, phases, 23),
+            )
+        });
         all_points.extend(points.iter().map(|(_, _, p)| p.clone()));
 
         println!(

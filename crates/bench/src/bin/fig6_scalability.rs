@@ -9,11 +9,10 @@
 //! communication pairs grow quadratically while slot tables do not.
 
 use noc_bench::{
-    format_table, max_goodput, paper_patterns, paper_phases, quick_flag, run_synthetic,
+    format_table, max_goodput, paper_patterns, paper_phases, par_map, quick_flag, run_synthetic,
     scenario_mode_ran, BackendKind, SynthPoint,
 };
 use noc_sim::Mesh;
-use rayon::prelude::*;
 
 fn main() {
     if scenario_mode_ran() {
@@ -41,10 +40,9 @@ fn main() {
                 .into_iter()
                 .flat_map(|k| rates.iter().map(move |&r| (k, r)))
                 .collect();
-            let points: Vec<SynthPoint> = jobs
-                .par_iter()
-                .map(|&(kind, rate)| run_synthetic(kind, mesh, pattern.clone(), rate, phases, 31))
-                .collect();
+            let points: Vec<SynthPoint> = par_map(&jobs, 0, |&(kind, rate)| {
+                run_synthetic(kind, mesh, pattern.clone(), rate, phases, 31)
+            });
 
             let of_kind = |kind: BackendKind| -> Vec<SynthPoint> {
                 points.iter().filter(|p| p.kind == kind).cloned().collect()

@@ -8,9 +8,8 @@
 //! configuration; BLACKSCHOLES saving up to 23.8 %; STO *costs* energy
 //! under basic Hybrid-TDM-VC4.
 
-use noc_bench::{format_table, quick_flag, scenario_mode_ran, BackendKind};
+use noc_bench::{format_table, par_map, quick_flag, scenario_mode_ran, BackendKind};
 use noc_hetero::{mix_phases, run_mix, speedup, MixResult, CPU_BENCHES, GPU_BENCHES};
-use rayon::prelude::*;
 
 struct MixRow {
     mix: String,
@@ -33,28 +32,25 @@ fn main() {
         .flat_map(|g| (0..cpu_count).map(move |c| (g, c)))
         .collect();
 
-    let rows: Vec<MixRow> = mixes
-        .par_iter()
-        .map(|&(gi, ci)| {
-            let gpu = &GPU_BENCHES[gi];
-            let cpu = &CPU_BENCHES[ci];
-            let seed = (gi * 8 + ci) as u64 + 7;
-            let base = run_mix(cpu, gpu, BackendKind::PacketVc4, phases, seed).expect("mix runs");
-            let per_kind = BackendKind::FIGURE8
-                .iter()
-                .map(|&kind| {
-                    let r = run_mix(cpu, gpu, kind, phases, seed).expect("mix runs");
-                    metrics(cpu, gpu, &base, &r)
-                })
-                .collect();
-            MixRow {
-                mix: format!("{}+{}", gpu.name, cpu.name),
-                gpu_idx: gi,
-                cpu_idx: ci,
-                per_kind,
-            }
-        })
-        .collect();
+    let rows: Vec<MixRow> = par_map(&mixes, 0, |&(gi, ci)| {
+        let gpu = &GPU_BENCHES[gi];
+        let cpu = &CPU_BENCHES[ci];
+        let seed = (gi * 8 + ci) as u64 + 7;
+        let base = run_mix(cpu, gpu, BackendKind::PacketVc4, phases, seed).expect("mix runs");
+        let per_kind = BackendKind::FIGURE8
+            .iter()
+            .map(|&kind| {
+                let r = run_mix(cpu, gpu, kind, phases, seed).expect("mix runs");
+                metrics(cpu, gpu, &base, &r)
+            })
+            .collect();
+        MixRow {
+            mix: format!("{}+{}", gpu.name, cpu.name),
+            gpu_idx: gi,
+            cpu_idx: ci,
+            per_kind,
+        }
+    });
 
     print_figure(
         &rows,

@@ -8,10 +8,9 @@
 //! CS dynamic overhead 0.6 %, total dynamic −20.8 %; static −17.3 % with
 //! 2.1 % CS static overhead.
 
-use noc_bench::{format_table, quick_flag, scenario_mode_ran, BackendKind};
+use noc_bench::{format_table, par_map, quick_flag, scenario_mode_ran, BackendKind};
 use noc_hetero::{mix_phases, run_mix, CPU_BENCHES, GPU_BENCHES};
 use noc_power::EnergyBreakdown;
-use rayon::prelude::*;
 
 fn main() {
     if scenario_mode_ran() {
@@ -21,10 +20,9 @@ fn main() {
     let phases = mix_phases(quick);
     let cpu_count = if quick { 2 } else { CPU_BENCHES.len() };
 
-    let per_gpu: Vec<(usize, EnergyBreakdown, EnergyBreakdown)> = (0..GPU_BENCHES.len())
-        .into_par_iter()
-        .map(|gi| {
-            let gpu = &GPU_BENCHES[gi];
+    let gpus: Vec<_> = GPU_BENCHES.iter().enumerate().collect();
+    let per_gpu: Vec<(usize, EnergyBreakdown, EnergyBreakdown)> =
+        par_map(&gpus, 0, |&(gi, gpu)| {
             let mut base_sum = EnergyBreakdown::default();
             let mut hyb_sum = EnergyBreakdown::default();
             for (ci, cpu) in CPU_BENCHES.iter().enumerate().take(cpu_count) {
@@ -39,8 +37,7 @@ fn main() {
                 hyb_sum = add(hyb_sum, h);
             }
             (gi, base_sum, hyb_sum)
-        })
-        .collect();
+        });
 
     println!("=== Figure 9(a) — dynamic energy, Hybrid-TDM-hop-VCt relative to Packet-VC4 ===");
     let mut rows = Vec::new();

@@ -9,9 +9,8 @@
 //! Also checks §V-B1's aside: "compared to packet-switched network with VC
 //! power gating (not shown), 6.8% static energy saving is achieved".
 
-use noc_bench::{format_table, quick_flag, scenario_mode_ran, BackendKind};
+use noc_bench::{format_table, par_map, quick_flag, scenario_mode_ran, BackendKind};
 use noc_hetero::{mix_phases, run_mix, CPU_BENCHES, GPU_BENCHES};
-use rayon::prelude::*;
 
 fn main() {
     if scenario_mode_ran() {
@@ -21,30 +20,26 @@ fn main() {
     let phases = mix_phases(quick);
     let cpu_count = if quick { 2 } else { CPU_BENCHES.len() };
 
-    let rows: Vec<(String, f64, f64, f64)> = (0..GPU_BENCHES.len())
-        .into_par_iter()
-        .map(|gi| {
-            let gpu = &GPU_BENCHES[gi];
-            let (mut tot, mut dynr, mut statr) = (0.0, 0.0, 0.0);
-            for (ci, cpu) in CPU_BENCHES.iter().enumerate().take(cpu_count) {
-                let seed = (gi * 8 + ci) as u64 + 55;
-                let gated =
-                    run_mix(cpu, gpu, BackendKind::PacketVct, phases, seed).expect("mix runs");
-                let hybrid = run_mix(cpu, gpu, BackendKind::HybridTdmHopVct, phases, seed)
-                    .expect("mix runs");
-                tot += hybrid.breakdown.saving_vs(&gated.breakdown);
-                dynr += hybrid.breakdown.dynamic_saving_vs(&gated.breakdown);
-                statr += hybrid.breakdown.static_saving_vs(&gated.breakdown);
-            }
-            let n = cpu_count as f64;
-            (
-                gpu.name.to_string(),
-                tot / n * 100.0,
-                dynr / n * 100.0,
-                statr / n * 100.0,
-            )
-        })
-        .collect();
+    let gpus: Vec<_> = GPU_BENCHES.iter().enumerate().collect();
+    let rows: Vec<(String, f64, f64, f64)> = par_map(&gpus, 0, |&(gi, gpu)| {
+        let (mut tot, mut dynr, mut statr) = (0.0, 0.0, 0.0);
+        for (ci, cpu) in CPU_BENCHES.iter().enumerate().take(cpu_count) {
+            let seed = (gi * 8 + ci) as u64 + 55;
+            let gated = run_mix(cpu, gpu, BackendKind::PacketVct, phases, seed).expect("mix runs");
+            let hybrid =
+                run_mix(cpu, gpu, BackendKind::HybridTdmHopVct, phases, seed).expect("mix runs");
+            tot += hybrid.breakdown.saving_vs(&gated.breakdown);
+            dynr += hybrid.breakdown.dynamic_saving_vs(&gated.breakdown);
+            statr += hybrid.breakdown.static_saving_vs(&gated.breakdown);
+        }
+        let n = cpu_count as f64;
+        (
+            gpu.name.to_string(),
+            tot / n * 100.0,
+            dynr / n * 100.0,
+            statr / n * 100.0,
+        )
+    });
 
     println!("=== §V-B4 — Hybrid-TDM-hop-VCt vs Packet-switched + VC gating ===\n");
     let mut table = Vec::new();

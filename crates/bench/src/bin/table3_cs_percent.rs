@@ -2,9 +2,8 @@
 //! are circuit-switched under Hybrid-TDM-VC4, per GPU benchmark (averaged
 //! over the CPU benchmarks it is mixed with).
 
-use noc_bench::{format_table, quick_flag, scenario_mode_ran, BackendKind};
+use noc_bench::{format_table, par_map, quick_flag, scenario_mode_ran, BackendKind};
 use noc_hetero::{mix_phases, run_mix, CPU_BENCHES, GPU_BENCHES};
-use rayon::prelude::*;
 
 /// Paper values for reference output.
 const PAPER: [(&str, f64, f64); 7] = [
@@ -30,27 +29,22 @@ fn main() {
         CPU_BENCHES.iter().collect()
     };
 
-    let results: Vec<(usize, f64, f64)> = (0..GPU_BENCHES.len())
-        .into_par_iter()
-        .map(|gi| {
-            let gpu = &GPU_BENCHES[gi];
-            let mut inj = 0.0;
-            let mut cs = 0.0;
-            for (ci, cpu) in cpus.iter().enumerate() {
-                let r = run_mix(cpu, gpu, BackendKind::HybridTdmVc4, phases, 100 + ci as u64)
-                    .expect("mix runs");
-                inj += r.gpu_injection;
-                cs += r.cs_flit_fraction;
-            }
-            let n = cpus.len() as f64;
-            (gi, inj / n, cs / n * 100.0)
-        })
-        .collect();
+    let results: Vec<(f64, f64)> = par_map(&GPU_BENCHES, 0, |gpu| {
+        let mut inj = 0.0;
+        let mut cs = 0.0;
+        for (ci, cpu) in cpus.iter().enumerate() {
+            let r = run_mix(cpu, gpu, BackendKind::HybridTdmVc4, phases, 100 + ci as u64)
+                .expect("mix runs");
+            inj += r.gpu_injection;
+            cs += r.cs_flit_fraction;
+        }
+        let n = cpus.len() as f64;
+        (inj / n, cs / n * 100.0)
+    });
 
     println!("=== Table III — GPU injection ratio and circuit-switched flit percentage (Hybrid-TDM-VC4) ===");
     let mut rows = Vec::new();
-    for (gi, inj, cs) in results {
-        let (name, p_inj, p_cs) = PAPER[gi];
+    for ((inj, cs), (name, p_inj, p_cs)) in results.into_iter().zip(PAPER) {
         rows.push(vec![
             name.to_string(),
             format!("{inj:.2}"),

@@ -1,7 +1,7 @@
 //! # noc-bench — experiment harnesses for every table and figure
 //!
-//! One binary per table/figure of the paper (`src/bin/`), plus Criterion
-//! microbenchmarks (`benches/`). Network construction goes through the
+//! One binary per table/figure of the paper (`src/bin/`), plus the
+//! `network_step` kernel benchmark. Network construction goes through the
 //! `noc-scenario` backend registry ([`BackendKind`] + [`build_fabric`])
 //! and every scenario run goes through [`run_spec_with`] on the shared
 //! engine (`noc_traffic`); this library holds what is left: the
@@ -411,11 +411,45 @@ fn run_spec_file(
     Ok((outcome, telemetry))
 }
 
-/// Run a multi-point sweep, fanning the specs over `threads` worker
-/// threads (`0` = one per available core, `1` = serial). Every point is
-/// an independent simulation seeded by its spec, chunks are contiguous
-/// and results are merged back in spec order, so the outcome vector is
-/// **byte-identical for any thread count**. Host-timing fields are
+/// Map `f` over `items` on `threads` scoped worker threads (`0` = one per
+/// available core, `1` = serial) — the one fan-out every sweep in this
+/// crate goes through. Items are split into contiguous chunks, one per
+/// worker, and the results come back in input order, so the output does
+/// not depend on the thread count as long as `f` depends only on its item.
+pub fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = match threads {
+        0 => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        n => n,
+    }
+    .min(items.len())
+    .max(1);
+    if workers == 1 {
+        return items.iter().map(f).collect();
+    }
+    let chunk = items.len().div_ceil(workers);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .map(|c| scope.spawn(move || c.iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        let mut out = Vec::with_capacity(items.len());
+        for h in handles {
+            out.extend(h.join().expect("sweep worker panicked"));
+        }
+        out
+    })
+}
+
+/// Run a multi-point sweep on [`par_map`] with `threads` workers. Every
+/// point is an independent simulation seeded by its spec, so the outcome
+/// vector is **byte-identical for any thread count**. Host-timing fields are
 /// zeroed ([`SpecOutcome::clear_host_timing`]) so serialised sweep
 /// envelopes stay reproducible across hosts and thread counts. The first
 /// spec error (in spec order) is returned, if any.
@@ -433,37 +467,7 @@ pub fn run_sweep(
     threads: usize,
     telemetry: Option<&TelemetryConfig>,
 ) -> Result<(Vec<SpecOutcome>, Vec<Option<TelemetryReport>>), ScenarioError> {
-    let workers = match threads {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
-    .min(specs.len())
-    .max(1);
-    type Traced = Result<(SpecOutcome, Option<TelemetryReport>), ScenarioError>;
-    let results: Vec<Traced> = if workers <= 1 {
-        specs.iter().map(|s| run_spec_file(s, telemetry)).collect()
-    } else {
-        let chunk = specs.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = specs
-                .chunks(chunk)
-                .map(|c| {
-                    scope.spawn(move || {
-                        c.iter()
-                            .map(|s| run_spec_file(s, telemetry))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let mut out = Vec::with_capacity(specs.len());
-            for h in handles {
-                out.extend(h.join().expect("sweep worker panicked"));
-            }
-            out
-        })
-    };
+    let results = par_map(specs, threads, |s| run_spec_file(s, telemetry));
     let mut outcomes = Vec::with_capacity(results.len());
     let mut reports = Vec::with_capacity(results.len());
     for r in results {
@@ -1035,6 +1039,46 @@ mod tests {
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("bbbb"));
+    }
+
+    #[test]
+    fn par_map_over_a_slice_preserves_order() {
+        let ys = par_map(&[1u32, 2, 3, 4, 5, 6, 7], 0, |&x| x * 10);
+        assert_eq!(ys, vec![10, 20, 30, 40, 50, 60, 70]);
+    }
+
+    #[test]
+    fn par_map_over_a_range() {
+        let xs: Vec<usize> = (0..100).collect();
+        let ys = par_map(&xs, 0, |&i| i * i);
+        assert_eq!(ys.len(), 100);
+        assert_eq!(ys[9], 81);
+        assert_eq!(ys[99], 99 * 99);
+    }
+
+    #[test]
+    fn par_map_over_owned_items() {
+        let xs = [String::from("a"), String::from("bb")];
+        assert_eq!(par_map(&xs, 0, |s| s.len()), vec![1, 2]);
+    }
+
+    #[test]
+    fn par_map_of_nothing_is_empty() {
+        let xs: [u32; 0] = [];
+        assert!(par_map(&xs, 0, |&x| x).is_empty());
+    }
+
+    #[test]
+    fn par_map_output_does_not_depend_on_the_thread_count() {
+        // More items than workers, and a length no worker count divides,
+        // so every run has a short last chunk.
+        let xs: Vec<u64> = (0..23).collect();
+        let f = |&x: &u64| x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
+        let serial = par_map(&xs, 1, f);
+        assert_eq!(serial, xs.iter().map(f).collect::<Vec<_>>());
+        for threads in [2, 7] {
+            assert_eq!(par_map(&xs, threads, f), serial, "{threads} threads");
+        }
     }
 }
 

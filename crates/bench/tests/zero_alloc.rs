@@ -83,7 +83,7 @@ static GATE: Mutex<()> = Mutex::new(());
 /// stable pin rather than a probabilistic one.
 const WARMUP_CYCLES: u64 = 8_000;
 const MEASURED_CYCLES: u64 = 1_000;
-/// 0.3 flits/node/cycle at 5-flit packets — the loaded operating point.
+/// 0.06 flits/node/cycle, the `network_step` bench's loaded point (named "0.3flits").
 const PACKET_RATE: f64 = 0.06;
 
 #[test]

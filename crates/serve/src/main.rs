@@ -255,15 +255,26 @@ fn handle_conn(svc: &ScenarioService, stream: UnixStream, conn: u64, stop: &Atom
 }
 
 /// Client mode: forward stdin request lines, print frames until every
-/// submitted request has settled.
+/// submitted request has settled. A line over `MAX_REQUEST_LINE` bytes is
+/// not forwarded: it settles at once with the error frame the server
+/// would send for it.
 fn client(path: &str) -> std::io::Result<()> {
     let stream = UnixStream::connect(path)?;
     let mut expected = 0u64;
+    let mut seen = 0u64;
     {
         let mut w = BufWriter::new(stream.try_clone()?);
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let line = line?;
+        let mut lines = LineReader::new(std::io::stdin().lock());
+        while let Some(line) = lines.next_line()? {
+            let line = match line {
+                ReadLine::Line(line) => line,
+                ReadLine::Refused(e) => {
+                    println!("{}", error_frame(None, &e));
+                    expected += 1;
+                    seen += 1;
+                    continue;
+                }
+            };
             let line = line.trim();
             if line.is_empty() {
                 continue;
@@ -282,19 +293,17 @@ fn client(path: &str) -> std::io::Result<()> {
         }
         w.flush()?;
     }
-    let mut seen = 0u64;
-    let reader = BufReader::new(stream);
-    for frame in reader.lines() {
-        let frame = frame?;
+    let mut frames = BufReader::new(stream).lines();
+    while seen < expected {
+        let Some(frame) = frames.next().transpose()? else {
+            break;
+        };
         println!("{frame}");
         if matches!(
             frame_kind(&frame).as_deref(),
             Some("result" | "cancelled" | "error" | "stats" | "bye")
         ) {
             seen += 1;
-            if seen >= expected {
-                break;
-            }
         }
     }
     Ok(())

@@ -406,6 +406,51 @@ fn over_long_stdin_line_gets_an_error_frame() {
     assert_cap_error_then_stats(&frames);
 }
 
+/// The `--connect` client refuses an over-long stdin line itself: it
+/// prints the server's error frame for it and forwards only the next line.
+/// A stand-in server checks what arrives on the socket.
+#[test]
+fn over_long_client_stdin_line_is_not_forwarded() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixListener;
+    use std::process::{Command, Stdio};
+
+    let dir = std::env::temp_dir().join(format!("noc-serve-client-cap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let sock = dir.join("serve.sock");
+    let _ = std::fs::remove_file(&sock);
+    let listener = UnixListener::bind(&sock).expect("bind stand-in server");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_noc-serve"))
+        .arg("--connect")
+        .arg(&sock)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn noc-serve client");
+    let mut stdin = child.stdin.take().expect("stdin");
+    let writer = std::thread::spawn(move || stdin.write_all(&over_long_then_stats()));
+    let (conn, _) = listener.accept().expect("client connects");
+    let mut forwarded = String::new();
+    BufReader::new(&conn)
+        .read_line(&mut forwarded)
+        .expect("read forwarded line");
+    assert_eq!(
+        forwarded, "{\"op\":\"stats\"}\n",
+        "only the capped line is forwarded"
+    );
+    (&conn)
+        .write_all(b"{\"kind\":\"stats\",\"data\":{}}\n")
+        .expect("answer stats");
+    let out = child.wait_with_output().expect("client exits");
+    writer.join().expect("writer").expect("write requests");
+    assert!(out.status.success(), "client failed: {out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 frames");
+    let frames: Vec<String> = stdout.lines().map(str::to_string).collect();
+    assert_cap_error_then_stats(&frames);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The socket reader does the same on a live connection, which stays open
 /// for the next request.
 #[test]

@@ -39,30 +39,45 @@ echo "== perfbench self-test (simulated statistics match the golden digests) =="
 cargo build --release --manifest-path perfbench/Cargo.toml "${OFFLINE[@]}"
 cargo run --release --quiet --manifest-path perfbench/Cargo.toml "${OFFLINE[@]}" -- --self-test
 
-echo "== network_step JSON bench (schema smoke) =="
+echo "== network_step bench smoke (every point once, schema v2) =="
+# One rep of every point: the loaded and low-load points that exercise the
+# activity-driven scheduler, the parallel2 step pool, the near-idle leap
+# points that drive run_until through the idle cycle-leap path, the SDM
+# point and the 1024-node points.
 NS_TMP="$(mktemp -d)"
 cargo run --release -p noc-bench --bin network_step "${OFFLINE[@]}" -- \
-    --quick --json-out "$NS_TMP/ns.json" > /dev/null
+    --quick --reps 1 --json-out "$NS_TMP/ns.json" > /dev/null
 python3 - "$NS_TMP/ns.json" <<'PY'
 import json, sys
 env = json.load(open(sys.argv[1]))
-assert env["schema_version"] == 1, env["schema_version"]
+assert env["schema_version"] == 2, env["schema_version"]
 assert env["bench"] == "network_step"
-names = {p["name"] for p in env["points"]}
-assert "packet_64n_0.3flits" in names and "tdm_hybrid_1024n_0.3flits" in names, names
+names = [p["name"] for p in env["points"]]
+assert names == [
+    "packet_64n_0.3flits",
+    "packet_64n_0.3flits_parallel2",
+    "packet_64n_0.02flits",
+    "packet_64n_0.002flits_leap",
+    "tdm_hybrid_64n_0.3flits",
+    "tdm_hybrid_64n_0.02flits",
+    "tdm_hybrid_64n_0.002flits_leap",
+    "sdm_hybrid_64n_0.02flits",
+    "packet_1024n_0.3flits",
+    "packet_1024n_0.02flits",
+    "packet_1024n_torus_0.3flits",
+    "tdm_hybrid_1024n_0.3flits",
+    "tdm_hybrid_1024n_0.02flits",
+    "tdm_hybrid_1024n_torus_0.02flits",
+], names
 for p in env["points"]:
     assert p["best_ns_per_cycle"] > 0 and p["packets_delivered"] > 0, p["name"]
     assert len(p["wall_ns"]) == env["reps"], p["name"]
-print(f"network_step JSON ok: {len(env['points'])} points")
+    assert p["accepted_flits_per_node_cycle"] > 0, p["name"]
+    assert isinstance(p["saturated"], bool), p["name"]
+print(f"network_step JSON ok: {len(names)} points, "
+      f"{sum(p['saturated'] for p in env['points'])} saturated")
 PY
 rm -rf "$NS_TMP"
-
-echo "== bench smoke (network_step incl. low-load + near-idle points, test mode) =="
-# Runs every network_step bench once, including the 0.02 flits/node/cycle
-# low-load points that exercise the activity-driven scheduler and the
-# 0.002 flits/node/cycle near-idle points that drive run_until through
-# the idle cycle-leap path.
-cargo bench -p noc-bench --bench network_step "${OFFLINE[@]}" -- --test
 
 echo "== sweep determinism (--sweep-threads 1 vs 4, byte-identical JSON) =="
 SWEEP_TMP="$(mktemp -d)"
