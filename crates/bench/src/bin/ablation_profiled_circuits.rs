@@ -14,7 +14,7 @@
 
 use noc_bench::{
     format_table, json_flag, paper_phases, par_map, quick_flag, result_envelope, run_spec,
-    scenario_mode_ran, step_threads_from_env, write_json, BackendKind, ScenarioSpec, SynthPoint,
+    scenario_mode_ran, write_json, BackendKind, ScenarioSpec, SynthPoint,
 };
 use noc_traffic::TrafficPattern;
 
@@ -49,7 +49,6 @@ fn main() {
                         17,
                     );
                     spec.profile_circuits = profiled;
-                    spec.step_threads = step_threads_from_env();
                     spec
                 })
             })

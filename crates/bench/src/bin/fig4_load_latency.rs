@@ -8,8 +8,8 @@
 
 use noc_bench::{
     ascii_chart, format_table, json_flag, max_goodput, paper_patterns, paper_phases, par_map,
-    quick_flag, rate_sweep, result_envelope, run_synthetic, scenario_mode_ran,
-    step_threads_from_env, write_json, BackendKind, ScenarioSpec, SynthPoint,
+    quick_flag, rate_sweep, result_envelope, run_synthetic, scenario_mode_ran, write_json,
+    BackendKind, ScenarioSpec, SynthPoint,
 };
 use noc_sim::Mesh;
 
@@ -32,8 +32,7 @@ fn main() {
             }
         }
         for &(kind, rate) in &jobs {
-            let mut spec = ScenarioSpec::synthetic(kind, 6, pattern.clone(), rate, phases, 17);
-            spec.step_threads = step_threads_from_env();
+            let spec = ScenarioSpec::synthetic(kind, 6, pattern.clone(), rate, phases, 17);
             all_specs.push(spec);
         }
         let points: Vec<SynthPoint> = par_map(&jobs, 0, |&(kind, rate)| {

@@ -9,8 +9,7 @@
 
 use noc_bench::{
     format_table, json_flag, paper_patterns, paper_phases, par_map, quick_flag, result_envelope,
-    run_synthetic, scenario_mode_ran, step_threads_from_env, write_json, BackendKind, ScenarioSpec,
-    SynthPoint,
+    run_synthetic, scenario_mode_ran, write_json, BackendKind, ScenarioSpec, SynthPoint,
 };
 use noc_sim::Mesh;
 
@@ -50,8 +49,7 @@ fn main() {
             }
         }
         for &(kind, rate) in &jobs {
-            let mut spec = ScenarioSpec::synthetic(kind, 6, pattern.clone(), rate, phases, 23);
-            spec.step_threads = step_threads_from_env();
+            let spec = ScenarioSpec::synthetic(kind, 6, pattern.clone(), rate, phases, 23);
             all_specs.push(spec);
         }
         let points: Vec<_> = par_map(&jobs, 0, |&(kind, rate)| {

@@ -6,20 +6,15 @@
 //!
 //! Uniform-random traffic on 5-flit packets. The 64-node points cover the
 //! packet, TDM and SDM backends; the 1024-node points (32×32 mesh and
-//! torus) cover packet and TDM. The `parallel2` point fans node stepping
-//! over two worker threads. The `leap` points run near idle: their
-//! injection schedule is sampled before the clock starts, and the timed
-//! loop replays it with `run_until`, so idle stretches are leapt in O(1)
+//! torus) cover packet and TDM. Point names give the offered load in
+//! flits/node/cycle. The `leap` points run near idle: their injection
+//! schedule is sampled before the clock starts, and the timed loop
+//! replays it with `run_until`, so idle stretches are leapt in O(1)
 //! (DESIGN.md §12).
 //!
 //! Every point reports the flits the fabric accepted per node-cycle over
 //! its timed cycles, and is labelled `saturated` when that falls below
 //! 95% of the flits the source offered over the same cycles.
-//!
-//! The point names keep their historical load labels, which are 5× the
-//! offered load: they read the source rate as packets/node/cycle, but
-//! `SyntheticSource` takes flits/node/cycle. `flits_per_node_cycle` in the
-//! envelope is the true offered load.
 //!
 //! Flags:
 //!   --json-out PATH   write the schema-versioned result envelope
@@ -40,12 +35,11 @@ use tdm_noc::{TdmConfig, TdmNetwork};
 
 const STEPS: u64 = 512;
 const PACKET_FLITS: u8 = 5;
-/// Offered loads in flits/node/cycle; the names say "0.3flits".
+/// Offered loads in flits/node/cycle.
 const RATE_HEAVY: f64 = 0.06;
-/// Named "0.02flits".
 const RATE_LOW: f64 = 0.004;
-/// Named "0.002flits": one packet every ~200 cycles on 64 nodes, so most
-/// cycles have nothing in flight.
+/// One packet every ~200 cycles on 64 nodes, so most cycles have nothing
+/// in flight.
 const RATE_NEAR_IDLE: f64 = 0.0004;
 /// A point is labelled saturated below this accepted/offered ratio.
 const SATURATION_RATIO: f64 = 0.95;
@@ -172,13 +166,10 @@ impl Backend {
 #[derive(Clone, Copy)]
 enum Drive {
     /// Tick the source and step once per cycle.
-    PerCycle { step_threads: usize },
+    PerCycle,
     /// Replay a pre-sampled injection schedule with `run_until`.
     Leap,
 }
-
-const SERIAL: Drive = Drive::PerCycle { step_threads: 0 };
-const PARALLEL2: Drive = Drive::PerCycle { step_threads: 2 };
 
 /// One operating point: name, backend, topology, offered load, drive.
 type Spec = (&'static str, Backend, Mesh, f64, Drive);
@@ -203,16 +194,13 @@ fn sample_schedule(src: &mut SyntheticSource, start: u64) -> Vec<(u64, NodeId, P
 
 fn measure((name, backend, topo, rate, mode): Spec, warmup: u64, reps: u64) -> Point {
     let mut net = backend.build(topo);
-    if let Drive::PerCycle { step_threads } = mode {
-        net.set_step_threads(step_threads);
-    }
     let mut src = SyntheticSource::new(topo, TrafficPattern::UniformRandom, rate, PACKET_FLITS, 42);
     drive(net.as_mut(), &mut src, warmup);
     let (offered0, flits0) = (net.stats().packets_offered, net.stats().flits_delivered);
     let mut wall_ns = Vec::with_capacity(reps as usize);
     for _ in 0..reps {
         let elapsed = match mode {
-            Drive::PerCycle { .. } => {
+            Drive::PerCycle => {
                 let t0 = Instant::now();
                 drive(net.as_mut(), &mut src, STEPS);
                 t0.elapsed()
@@ -258,22 +246,22 @@ fn main() {
     let m32 = Mesh::square(32);
     let t32 = Mesh::torus_square(32);
     use Backend::{Packet, Sdm, Tdm};
+    use Drive::{Leap, PerCycle};
     #[rustfmt::skip]
-    let specs: [Spec; 14] = [
-        ("packet_64n_0.3flits", Packet, m8, RATE_HEAVY, SERIAL),
-        ("packet_64n_0.3flits_parallel2", Packet, m8, RATE_HEAVY, PARALLEL2),
-        ("packet_64n_0.02flits", Packet, m8, RATE_LOW, SERIAL),
-        ("packet_64n_0.002flits_leap", Packet, m8, RATE_NEAR_IDLE, Drive::Leap),
-        ("tdm_hybrid_64n_0.3flits", Tdm, m8, RATE_HEAVY, SERIAL),
-        ("tdm_hybrid_64n_0.02flits", Tdm, m8, RATE_LOW, SERIAL),
-        ("tdm_hybrid_64n_0.002flits_leap", Tdm, m8, RATE_NEAR_IDLE, Drive::Leap),
-        ("sdm_hybrid_64n_0.02flits", Sdm, m8, RATE_LOW, SERIAL),
-        ("packet_1024n_0.3flits", Packet, m32, RATE_HEAVY, SERIAL),
-        ("packet_1024n_0.02flits", Packet, m32, RATE_LOW, SERIAL),
-        ("packet_1024n_torus_0.3flits", Packet, t32, RATE_HEAVY, SERIAL),
-        ("tdm_hybrid_1024n_0.3flits", Tdm, m32, RATE_HEAVY, SERIAL),
-        ("tdm_hybrid_1024n_0.02flits", Tdm, m32, RATE_LOW, SERIAL),
-        ("tdm_hybrid_1024n_torus_0.02flits", Tdm, t32, RATE_LOW, SERIAL),
+    let specs: [Spec; 13] = [
+        ("packet_64n_0.06flits", Packet, m8, RATE_HEAVY, PerCycle),
+        ("packet_64n_0.004flits", Packet, m8, RATE_LOW, PerCycle),
+        ("packet_64n_0.0004flits_leap", Packet, m8, RATE_NEAR_IDLE, Leap),
+        ("tdm_hybrid_64n_0.06flits", Tdm, m8, RATE_HEAVY, PerCycle),
+        ("tdm_hybrid_64n_0.004flits", Tdm, m8, RATE_LOW, PerCycle),
+        ("tdm_hybrid_64n_0.0004flits_leap", Tdm, m8, RATE_NEAR_IDLE, Leap),
+        ("sdm_hybrid_64n_0.004flits", Sdm, m8, RATE_LOW, PerCycle),
+        ("packet_1024n_0.06flits", Packet, m32, RATE_HEAVY, PerCycle),
+        ("packet_1024n_0.004flits", Packet, m32, RATE_LOW, PerCycle),
+        ("packet_1024n_torus_0.06flits", Packet, t32, RATE_HEAVY, PerCycle),
+        ("tdm_hybrid_1024n_0.06flits", Tdm, m32, RATE_HEAVY, PerCycle),
+        ("tdm_hybrid_1024n_0.004flits", Tdm, m32, RATE_LOW, PerCycle),
+        ("tdm_hybrid_1024n_torus_0.004flits", Tdm, t32, RATE_LOW, PerCycle),
     ];
 
     let mut points = Vec::new();

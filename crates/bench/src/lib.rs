@@ -37,9 +37,8 @@ pub use noc_hetero::MixResult;
 pub use noc_scenario::{
     build_fabric, build_workload, json_flag, quick_flag, result_envelope,
     result_envelope_with_telemetry, scenario_flag, scenario_specs_from_cli, slot_capacity_for,
-    step_threads_from_env, sweep_threads_flag, telemetry_from_cli, trace_out_flag, write_json,
-    BackendKind, Checkpoint, ScenarioError, ScenarioSpec, SpecSource, TrafficSpec, Tuning,
-    SCHEMA_VERSION,
+    sweep_threads_flag, telemetry_from_cli, trace_out_flag, write_json, BackendKind, Checkpoint,
+    ScenarioError, ScenarioSpec, SpecSource, TrafficSpec, Tuning, SCHEMA_VERSION,
 };
 pub use noc_workload::{capture_ticks, plan_top_flows, PacketTrace};
 
@@ -83,8 +82,7 @@ fn synth_point(
 }
 
 /// Run one synthetic point on a square grid: a [`ScenarioSpec`] built
-/// from the arguments (with the `NOC_STEP_THREADS` host override) through
-/// [`run_spec`].
+/// from the arguments, through [`run_spec`].
 pub fn run_synthetic(
     kind: BackendKind,
     mesh: Mesh,
@@ -97,7 +95,6 @@ pub fn run_synthetic(
     let mut spec = ScenarioSpec::synthetic(kind, mesh.kx(), pattern, rate, phases, seed);
     spec.topology = mesh.kind();
     spec.concentration = mesh.concentration();
-    spec.step_threads = step_threads_from_env();
     run_spec(&spec)
         .expect("every backend builds under the synthetic tuning")
         .into_synth()

@@ -47,6 +47,9 @@ fn trace_hit(what: &str, size: usize) {
     });
 }
 
+// A global allocator is `unsafe` by definition; this test's counting
+// shim is the one `unsafe` site outside `noc_sim::slab`.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
@@ -83,7 +86,7 @@ static GATE: Mutex<()> = Mutex::new(());
 /// stable pin rather than a probabilistic one.
 const WARMUP_CYCLES: u64 = 8_000;
 const MEASURED_CYCLES: u64 = 1_000;
-/// 0.06 flits/node/cycle, the `network_step` bench's loaded point (named "0.3flits").
+/// 0.06 flits/node/cycle, the `network_step` bench's loaded point (`*_0.06flits`).
 const PACKET_RATE: f64 = 0.06;
 
 #[test]

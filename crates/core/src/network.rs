@@ -111,8 +111,7 @@ impl TdmNetwork {
             window_start: 0,
             failures_at_start: 0,
         });
-        let mut net = Network::new(cfg.net.mesh, |id| TdmNode::new(id, &cfg));
-        net.set_step_threads(cfg.net.step_threads);
+        let net = Network::new(cfg.net.mesh, |id| TdmNode::new(id, &cfg));
         TdmNetwork {
             net,
             cfg,
@@ -451,10 +450,6 @@ impl Fabric for TdmNetwork {
 
     fn clear_delivered_log(&mut self) {
         self.net.delivered_log.clear();
-    }
-
-    fn set_step_threads(&mut self, threads: usize) {
-        self.net.set_step_threads(threads);
     }
 
     fn set_always_step(&mut self, on: bool) {

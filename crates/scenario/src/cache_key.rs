@@ -20,8 +20,10 @@
 //! The **warm-up key** hashes only the prefix of the spec that determines
 //! the fabric state at the end of warm-up: grid, backend, traffic, seed,
 //! faults and the warm-up phase lengths. Measurement and drain parameters
-//! (and `step_threads`, a host-side knob with bit-identical results) are
-//! excluded, so a sweep over measurement windows shares one checkpoint.
+//! are excluded, so a sweep over measurement windows shares one
+//! checkpoint. So is the retired stepping-thread field, which the echo
+//! pins to 0; stripping it keeps warm-up keys equal to those computed
+//! while it was a live knob.
 
 use serde::{Serialize, Value};
 
@@ -127,8 +129,8 @@ pub fn warmup_key(spec: &ScenarioSpec, code_version: &str) -> Option<CacheKey> {
         _ => unreachable!("spec echo is an object"),
     } {
         match k.as_str() {
-            // Host-side knob: results are bit-identical at any thread
-            // count, so points differing only here share a warm-up.
+            // Retired host knob, echoed as a constant 0; stripped as it
+            // always was, so existing warm-up keys stay valid.
             "step_threads" => {}
             // Measurement/drain lengths are the warm-up *fork* axis.
             "phases" => {
@@ -375,11 +377,6 @@ mod tests {
                 s.seed = 8;
                 s
             }),
-            ("step_threads", {
-                let mut s = base.clone();
-                s.step_threads = 2;
-                s
-            }),
             ("slot_capacity", {
                 let mut s = base.clone();
                 s.slot_capacity = Some(64);
@@ -398,12 +395,29 @@ mod tests {
     }
 
     #[test]
+    fn retired_step_threads_field_changes_no_key() {
+        let zero = base_spec_json();
+        assert!(zero.contains("\"step_threads\": 0,"));
+        let two = parse_one(&zero.replace("\"step_threads\": 0,", "\"step_threads\": 2,"));
+        let absent = parse_one(&zero.replace("\"step_threads\": 0,", ""));
+        let cv = code_version();
+        assert_eq!(two, absent);
+        assert_eq!(canonical_spec_json(&two), canonical_spec_json(&absent));
+        assert!(canonical_spec_json(&absent).contains("\"step_threads\":0"));
+        assert_eq!(result_key(&two, &cv), result_key(&absent, &cv));
+        assert_eq!(warmup_key(&two, &cv), warmup_key(&absent, &cv));
+        // The field is still type-checked.
+        let bad = zero.replace("\"step_threads\": 0,", "\"step_threads\": -1,");
+        assert!(ScenarioSpec::parse(&bad).is_err());
+    }
+
+    #[test]
     fn warmup_key_ignores_measurement_but_tracks_warmup_params() {
         let base = parse_one(base_spec_json());
         let cv = code_version();
         let k0 = warmup_key(&base, &cv).expect("synthetic spec has a warm-up key");
 
-        // The fork axis: measurement/drain/step_threads changes share it.
+        // The fork axis: measurement/drain changes share it.
         for spec in [
             {
                 let mut s = base.clone();
@@ -418,11 +432,6 @@ mod tests {
             {
                 let mut s = base.clone();
                 s.phases.drain_cycles = 50;
-                s
-            },
-            {
-                let mut s = base.clone();
-                s.step_threads = 4;
                 s
             },
         ] {

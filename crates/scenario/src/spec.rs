@@ -87,9 +87,6 @@ pub struct ScenarioSpec {
     pub traffic: TrafficSpec,
     pub phases: PhaseConfig,
     pub seed: u64,
-    /// Host worker threads for the node-stepping phase (0 = serial);
-    /// never changes simulated results.
-    pub step_threads: usize,
     /// TDM slot-table size override (default: sized from the mesh,
     /// §IV-D).
     pub slot_capacity: Option<u16>,
@@ -138,7 +135,6 @@ impl ScenarioSpec {
             traffic: TrafficSpec::Synthetic { pattern, rate },
             phases,
             seed,
-            step_threads: 0,
             slot_capacity: None,
             faults: Vec::new(),
             checkpoint_out: None,
@@ -166,7 +162,6 @@ impl ScenarioSpec {
             traffic: TrafficSpec::trace(trace),
             phases,
             seed,
-            step_threads: 0,
             slot_capacity: None,
             faults: Vec::new(),
             checkpoint_out: None,
@@ -249,7 +244,6 @@ impl ScenarioSpec {
             },
             phases,
             seed,
-            step_threads: 0,
             slot_capacity: None,
             faults: Vec::new(),
             checkpoint_out: None,
@@ -271,9 +265,7 @@ impl ScenarioSpec {
 
     /// The network configuration this scenario describes.
     pub fn net_config(&self) -> NetworkConfig {
-        let mut cfg = NetworkConfig::with_mesh(self.topo());
-        cfg.step_threads = self.step_threads;
-        cfg
+        NetworkConfig::with_mesh(self.topo())
     }
 
     /// Which circuit-setup tuning applies (§IV vs §V policies). Trace
@@ -599,6 +591,10 @@ impl ScenarioSpec {
             ));
         }
 
+        let seed = opt_u64(v, "seed")?.unwrap_or(1);
+        // Retired host knob: still type-checked so committed specs keep
+        // their accept/refuse verdicts, then ignored (stepping is serial).
+        opt_u64(v, "step_threads")?;
         let spec = ScenarioSpec {
             backend,
             mesh,
@@ -606,8 +602,7 @@ impl ScenarioSpec {
             concentration,
             traffic,
             phases,
-            seed: opt_u64(v, "seed")?.unwrap_or(1),
-            step_threads: opt_u64(v, "step_threads")?.unwrap_or(0) as usize,
+            seed,
             slot_capacity: opt_u64(v, "slot_capacity")?.map(|c| c as u16),
             faults,
             checkpoint_out,
@@ -1079,10 +1074,10 @@ impl Serialize for ScenarioSpec {
             ("traffic".to_string(), self.traffic.to_value()),
             ("phases".to_string(), self.phases.to_value()),
             ("seed".to_string(), Value::UInt(self.seed)),
-            (
-                "step_threads".to_string(),
-                Value::UInt(self.step_threads as u64),
-            ),
+            // Retired host knob (serial stepping only). The echo keeps a
+            // constant 0 so envelopes, result keys and warm-up keys stay
+            // byte-identical with those written while it was live.
+            ("step_threads".to_string(), Value::UInt(0)),
             (
                 "slot_capacity".to_string(),
                 match self.slot_capacity {
@@ -1187,7 +1182,6 @@ mod tests {
         // Unset phase fields keep the defaults.
         assert_eq!(s.phases.drain_cycles, PhaseConfig::default().drain_cycles);
         assert_eq!(s.seed, 42);
-        assert_eq!(s.step_threads, 2);
         assert_eq!(s.slot_capacity, Some(64));
     }
 

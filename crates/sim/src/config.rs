@@ -46,11 +46,6 @@ pub struct NetworkConfig {
     /// Packet length for circuit-switched data packets (Table I: 4 — no
     /// header needed on a reserved path).
     pub cs_packet_flits: u8,
-    /// Worker threads for the node-stepping phase of `Network::step`
-    /// (0 = serial). Purely a host-side performance knob: results are
-    /// bit-identical for every value (see the determinism contract in
-    /// `network.rs`).
-    pub step_threads: usize,
 }
 
 impl Default for NetworkConfig {
@@ -60,7 +55,6 @@ impl Default for NetworkConfig {
             router: RouterConfig::default(),
             ps_packet_flits: 5,
             cs_packet_flits: 4,
-            step_threads: 0,
         }
     }
 }

@@ -103,9 +103,9 @@ pub trait Fabric {
     /// Clear the delivered-packet log (measurement-window bracketing).
     fn clear_delivered_log(&mut self);
 
-    /// Fan the node-stepping phase over a worker pool (`0` = serial).
-    /// Results are bit-identical either way.
-    fn set_step_threads(&mut self, threads: usize);
+    /// No-op, kept so existing decorators that forward it still compile:
+    /// every fabric steps its nodes serially.
+    fn set_step_threads(&mut self, _threads: usize) {}
 
     /// Disable the activity scheduler: step every node every cycle
     /// regardless of the active set. Results are bit-identical either way
@@ -223,7 +223,7 @@ pub trait Fabric {
     }
 }
 
-impl<N: NodeModel + Send + 'static> Fabric for Network<N> {
+impl<N: NodeModel> Fabric for Network<N> {
     fn mesh(&self) -> Mesh {
         self.mesh
     }
@@ -278,10 +278,6 @@ impl<N: NodeModel + Send + 'static> Fabric for Network<N> {
 
     fn clear_delivered_log(&mut self) {
         self.delivered_log.clear();
-    }
-
-    fn set_step_threads(&mut self, threads: usize) {
-        Network::set_step_threads(self, threads);
     }
 
     fn set_always_step(&mut self, on: bool) {

@@ -21,28 +21,24 @@
 //! themselves with no timestamps, no front-of-queue comparisons, and no
 //! steady-state allocation (the vectors retain their capacity).
 //!
-//! # Parallel node stepping
+//! # The three-phase cycle
 //!
-//! The per-cycle work splits into three phases:
+//! The per-cycle work splits into three serial phases:
 //!
 //! 1. **Deliver** the wire slots due this cycle into each node.
 //! 2. **Step** every node, each writing flits/credits into its own
-//!    [`NodeOutputs`] outbox. Nodes share no state, so this phase is
-//!    embarrassingly parallel; with [`Network::set_step_threads`] it fans
-//!    out over a persistent worker pool.
-//! 3. **Route** every outbox onto the wire slots, serially, in ascending
-//!    node order.
+//!    [`NodeOutputs`] outbox.
+//! 3. **Route** every outbox onto the wire slots in ascending node order.
 //!
 //! Determinism contract: phase 2 is order-independent (each node touches
-//! only its own state and outbox) and phase 3 is always serial and
-//! ordered, so serial and parallel stepping produce bit-identical
-//! networks. `tests/properties.rs` holds a property test comparing the
-//! delivered-packet streams of the two modes cycle by cycle.
+//! only its own state and outbox) and phase 3 is ordered, so the result
+//! depends on the step *set*, never on the visit order. The `exhaustive`
+//! feature's step-order override (`Network::set_step_order`) pins this
+//! over every permutation of a 2×2 fabric.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 use noc_telemetry::{
     EventKind, MetricId, MetricsRegistry, TelemetryConfig, TelemetryReport, TraceSink,
@@ -61,54 +57,13 @@ use crate::stats::{EnergyEvents, NetStats};
 use crate::topology::{Mesh, TopoTables};
 use crate::Cycle;
 
-/// One contiguous chunk of the node-stepping phase, shipped to a pool
-/// worker. The pointers are the bases of the network's `nodes` and
-/// `outboxes` vectors; a job owns the disjoint index range `lo..hi` of
-/// both, and the main thread blocks until every job of the cycle
-/// completes before touching either vector again.
-struct StepJob<N> {
-    nodes: *mut N,
-    outs: *mut NodeOutputs,
-    /// Step-set bitmask (base of the network's `step_mask`); workers skip
-    /// nodes whose bit is clear. Read-only for the duration of the job.
-    mask: *const u64,
-    lo: usize,
-    hi: usize,
-    now: Cycle,
-}
-
-// Safety: jobs address disjoint ranges, the main thread waits for all
-// completions before reusing the buffers, and the pool can only be built
-// through `set_step_threads`, which requires `N: Send`.
-unsafe impl<N> Send for StepJob<N> {}
-
-/// Persistent worker pool for the node-stepping phase. Threads are spawned
-/// once and live for the network's lifetime; each cycle posts one job per
-/// worker and waits on a shared completion channel, so the steady state
-/// allocates nothing.
-struct StepPool<N> {
-    job_txs: Vec<mpsc::Sender<StepJob<N>>>,
-    done_rx: mpsc::Receiver<()>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl<N> Drop for StepPool<N> {
-    fn drop(&mut self) {
-        // Hang up the job channels; workers exit their recv loop.
-        self.job_txs.clear();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 /// Harness-level telemetry state, boxed behind an `Option` so an untraced
 /// network pays one null check at each instrumentation site. Node sinks
-/// record the router-level event kinds during the (possibly parallel)
-/// stepping phase; this records the kinds only the harness can see —
-/// injections and activity-scheduler sleep/wake transitions — plus the
-/// per-link flit counters and the metrics registry, all touched only in
-/// the serial phases, so the determinism contract is untouched.
+/// record the router-level event kinds during the stepping phase; this
+/// records the kinds only the harness can see — injections and
+/// activity-scheduler sleep/wake transitions — plus the per-link flit
+/// counters and the metrics registry, all touched only in phases 1 and 3,
+/// so the determinism contract is untouched.
 pub struct NetTelemetry {
     cfg: TelemetryConfig,
     /// Harness-originated events (inject, node sleep/wake).
@@ -207,10 +162,9 @@ pub struct Network<N: NodeModel> {
     credit_slots: [Vec<Vec<(Direction, Credit)>>; 2],
     /// Per-node inbound active-VC-count slots (1-cycle wires).
     vc_count_slots: [Vec<Vec<(Direction, u8)>>; 2],
-    /// Per-node output scratch, reused every cycle; the fan-out target of
-    /// the (optionally parallel) node-stepping phase.
+    /// Per-node output scratch, reused every cycle; written by the
+    /// node-stepping phase and drained by the routing phase.
     outboxes: Vec<NodeOutputs>,
-    pool: Option<StepPool<N>>,
     now: Cycle,
     pub stats: NetStats,
     /// When set, every measured delivered packet is also appended to
@@ -290,7 +244,6 @@ impl<N: NodeModel> Network<N> {
             credit_slots: slots(n),
             vc_count_slots: slots(n),
             outboxes: (0..n).map(|_| NodeOutputs::default()).collect(),
-            pool: None,
             now: 0,
             stats: NetStats::default(),
             collect_delivered: false,
@@ -468,65 +421,29 @@ impl<N: NodeModel> Network<N> {
 
         // 2. Step the active set, each node into its own outbox.
         #[cfg(feature = "exhaustive")]
-        let permuted = self.step_order.take();
+        let permuted = self.step_order.as_deref();
         #[cfg(not(feature = "exhaustive"))]
-        let permuted: Option<Vec<usize>> = None;
-        match (&self.pool, &permuted) {
-            (None, Some(order)) => {
-                // Exhaustive-schedule harness: same step set, caller's
-                // order. Phase 2 must be order-independent, so this is
-                // observationally equivalent to the canonical loop below.
-                for &i in order {
-                    if self.step_mask.get(i) {
-                        self.outboxes[i].clear();
-                        self.nodes[i].step(now, &mut self.outboxes[i]);
-                    }
+        let permuted: Option<&[usize]> = None;
+        if let Some(order) = permuted {
+            // Exhaustive-schedule harness: same step set, caller's order.
+            // Phase 2 must be order-independent, so this is
+            // observationally equivalent to the canonical loop below.
+            for &i in order {
+                if self.step_mask.get(i) {
+                    self.outboxes[i].clear();
+                    self.nodes[i].step(now, &mut self.outboxes[i]);
                 }
             }
-            (None, None) => {
-                for w in 0..words {
-                    let mut bits = self.step_mask.words()[w];
-                    while bits != 0 {
-                        let i = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        self.outboxes[i].clear();
-                        self.nodes[i].step(now, &mut self.outboxes[i]);
-                    }
+        } else {
+            for w in 0..words {
+                let mut bits = self.step_mask.words()[w];
+                while bits != 0 {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    self.outboxes[i].clear();
+                    self.nodes[i].step(now, &mut self.outboxes[i]);
                 }
             }
-            (Some(pool), _) => {
-                let chunk = n.div_ceil(pool.job_txs.len());
-                let nodes = self.nodes.as_mut_ptr();
-                let outs = self.outboxes.as_mut_ptr();
-                let mask = self.step_mask.words().as_ptr();
-                let mut sent = 0usize;
-                for (w, tx) in pool.job_txs.iter().enumerate() {
-                    let lo = w * chunk;
-                    if lo >= n {
-                        break;
-                    }
-                    let hi = (lo + chunk).min(n);
-                    tx.send(StepJob {
-                        nodes,
-                        outs,
-                        mask,
-                        lo,
-                        hi,
-                        now,
-                    })
-                    .expect("step worker died");
-                    sent += 1;
-                }
-                for _ in 0..sent {
-                    pool.done_rx.recv().expect("step worker died");
-                }
-            }
-        }
-        #[cfg(feature = "exhaustive")]
-        {
-            // Taken around the match to sidestep the borrow of `self`;
-            // the override persists across cycles.
-            self.step_order = permuted;
         }
 
         // 3. Route the stepped outboxes onto the wires: serial, ascending
@@ -872,12 +789,10 @@ impl<N: NodeModel> Network<N> {
     /// order-independent by contract, so every permutation must be
     /// observationally equivalent to the canonical ascending order; the
     /// exhaustive-schedule test enumerates all of them on a 2×2 fabric.
-    /// Ignored by the worker-pool path (serial stepping only).
     #[cfg(feature = "exhaustive")]
     pub fn set_step_order(&mut self, order: Option<Vec<usize>>) {
         if let Some(order) = &order {
             let n = self.nodes.len();
-            assert!(self.pool.is_none(), "step order override is serial-only");
             assert_eq!(order.len(), n, "order must cover every node");
             let mut seen = vec![false; n];
             for &i in order {
@@ -1288,10 +1203,10 @@ impl<N: NodeModel> Network<N> {
     /// (the TDM resize controller, the SDM backend) call this and then
     /// append their own state.
     ///
-    /// Not serialised: scratch buffers (outboxes, step mask), the worker
-    /// pool, the topology tables (structural, rebuilt by the constructor),
-    /// the reroute table (recomputed from the down flags on load), and
-    /// telemetry (must be disarmed).
+    /// Not serialised: scratch buffers (outboxes, step mask), the topology
+    /// tables (structural, rebuilt by the constructor), the reroute table
+    /// (recomputed from the down flags on load), and telemetry (must be
+    /// disarmed).
     pub fn save_into(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
         if self.telemetry.is_some() {
             return Err(SnapshotError::Unsupported(
@@ -1452,54 +1367,6 @@ impl<N: NodeModel> Network<N> {
             }
         }
         Ok(())
-    }
-}
-
-impl<N: NodeModel + Send + 'static> Network<N> {
-    /// Fan the node-stepping phase over `threads` persistent worker
-    /// threads (`0` restores serial stepping). Results are bit-identical
-    /// either way — see the determinism contract in the module docs.
-    pub fn set_step_threads(&mut self, threads: usize) {
-        self.pool = None;
-        if threads == 0 {
-            return;
-        }
-        let threads = threads.min(self.nodes.len().max(1));
-        let (done_tx, done_rx) = mpsc::channel();
-        let mut job_txs = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let (tx, rx) = mpsc::channel::<StepJob<N>>();
-            let done = done_tx.clone();
-            handles.push(std::thread::spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    // Safety: this worker has exclusive access to indices
-                    // `lo..hi` of both vectors until it reports completion,
-                    // and the step mask is not mutated while jobs are in
-                    // flight (see `StepJob`).
-                    unsafe {
-                        for k in job.lo..job.hi {
-                            if *job.mask.add(k / 64) >> (k % 64) & 1 == 0 {
-                                continue;
-                            }
-                            let node = &mut *job.nodes.add(k);
-                            let out = &mut *job.outs.add(k);
-                            out.clear();
-                            node.step(job.now, out);
-                        }
-                    }
-                    if done.send(()).is_err() {
-                        break;
-                    }
-                }
-            }));
-            job_txs.push(tx);
-        }
-        self.pool = Some(StepPool {
-            job_txs,
-            done_rx,
-            handles,
-        });
     }
 }
 
@@ -1810,38 +1677,5 @@ mod tests {
         assert!(leaped.drain(500));
         leaped.end_measurement();
         assert_eq!(leaped.stats.packets_delivered, 2);
-    }
-
-    /// Serial and pooled stepping must advance the network identically.
-    #[test]
-    fn parallel_stepping_is_bit_identical() {
-        let build = || {
-            let mut n = net(4);
-            let mut pid = 0;
-            for src in n.mesh.nodes() {
-                for dst in n.mesh.nodes() {
-                    if src != dst {
-                        n.inject(src, Packet::data(PacketId(pid), src, dst, 5, 0));
-                        pid += 1;
-                    }
-                }
-            }
-            n.collect_delivered = true;
-            n.begin_measurement();
-            n
-        };
-        let mut serial = build();
-        let mut pooled = build();
-        pooled.set_step_threads(3);
-        assert!(serial.drain(20_000) && pooled.drain(20_000));
-        serial.end_measurement();
-        pooled.end_measurement();
-        assert_eq!(serial.now(), pooled.now());
-        assert_eq!(serial.delivered_log, pooled.delivered_log);
-        assert_eq!(
-            serial.stats.packets_delivered,
-            pooled.stats.packets_delivered
-        );
-        assert_eq!(serial.stats.latency_sum, pooled.stats.latency_sum);
     }
 }

@@ -13,10 +13,8 @@
 //! disjoint [`SlabRegion`] views, one per node, handed out through
 //! [`NodeModel::attach_flit_slab`]. A region is the *exclusive* owner of
 //! its rings — all mutation goes through `&mut SlabRegion` — while the
-//! store itself is kept alive by reference counting. This is the same
-//! aliasing discipline the parallel node-stepping phase already relies on
-//! (`StepJob` in `crate::network`): workers mutate disjoint node ranges,
-//! and each node only ever touches its own region.
+//! store itself is kept alive by reference counting, and each node only
+//! ever touches its own region.
 //!
 //! Ring invariants (checked by debug assertions):
 //! * `head < depth` and `len <= depth` at all times;
@@ -27,10 +25,15 @@
 //!   reference (the pop/retain paths move or free payload handles before
 //!   the slot is vacated).
 //!
+//! This is the only module of the workspace's library code that may use
+//! `unsafe` (the workspace denies `unsafe_code`): the rings are addressed
+//! through raw pointers into the shared store.
+//!
 //! [`NodeModel::attach_flit_slab`]: crate::node::NodeModel::attach_flit_slab
+#![allow(unsafe_code)]
 
 use std::cell::UnsafeCell;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::flit::{Flit, Packet, PacketId, Switching};
 use crate::geometry::NodeId;
@@ -54,20 +57,13 @@ const _: () = assert!(
 
 /// The shared backing store. `UnsafeCell` because disjoint regions of the
 /// same store are mutated through `&mut SlabRegion` handles that only hold
-/// an `Arc` to it; the region carve discipline (see [`FlitSlab::carve`])
+/// an `Rc` to it; the region carve discipline (see [`FlitSlab::carve`])
 /// guarantees no two handles overlap.
 struct SlabStore {
     flits: Box<[UnsafeCell<Flit>]>,
     meta: Box<[UnsafeCell<RingMeta>]>,
     depth: usize,
 }
-
-// Safety: every ring of the store is owned by exactly one `SlabRegion`
-// (enforced by `FlitSlab::carve` handing out non-overlapping ranges), and a
-// region requires `&mut` for mutation. Concurrent access from the parallel
-// stepping phase therefore touches disjoint cells only.
-unsafe impl Send for SlabStore {}
-unsafe impl Sync for SlabStore {}
 
 /// A filler value for vacant slots. Never observable: reads are bounded by
 /// `len`, serialisation walks FIFO order only.
@@ -76,7 +72,7 @@ fn filler_flit() -> Flit {
     Flit::of_packet(&p, 0, Switching::Packet)
 }
 
-fn new_store(rings: usize, depth: usize) -> Arc<SlabStore> {
+fn new_store(rings: usize, depth: usize) -> Rc<SlabStore> {
     assert!(
         depth >= 1 && depth <= u8::MAX as usize,
         "ring depth {depth} out of range"
@@ -86,7 +82,7 @@ fn new_store(rings: usize, depth: usize) -> Arc<SlabStore> {
         "ring count {rings} out of range"
     );
     let f = filler_flit();
-    Arc::new(SlabStore {
+    Rc::new(SlabStore {
         flits: (0..rings * depth).map(|_| UnsafeCell::new(f)).collect(),
         meta: (0..rings)
             .map(|_| UnsafeCell::new(RingMeta::default()))
@@ -98,7 +94,7 @@ fn new_store(rings: usize, depth: usize) -> Arc<SlabStore> {
 /// The network-owned slab: a contiguous store plus a carve cursor that
 /// hands out disjoint per-node [`SlabRegion`]s.
 pub struct FlitSlab {
-    store: Arc<SlabStore>,
+    store: Rc<SlabStore>,
     next_ring: usize,
 }
 
@@ -137,18 +133,14 @@ impl FlitSlab {
 /// go through `&self`, all mutation through `&mut self`; the store-level
 /// aliasing argument lives on [`SlabStore`].
 pub struct SlabRegion {
-    store: Arc<SlabStore>,
+    store: Rc<SlabStore>,
     /// Base pointers of this region's slice of the store, hoisted out of
-    /// the `Arc` so the per-flit hot path is a single indexed load.
+    /// the `Rc` so the per-flit hot path is a single indexed load.
     flits: *mut Flit,
     meta: *mut RingMeta,
     rings: usize,
     depth: usize,
 }
-
-// Safety: a region exclusively owns its rings (see `SlabStore`); the raw
-// base pointers target memory kept alive by the `store` Arc.
-unsafe impl Send for SlabRegion {}
 
 impl std::fmt::Debug for SlabRegion {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -182,7 +174,7 @@ impl Clone for SlabRegion {
 }
 
 impl SlabRegion {
-    fn over(store: Arc<SlabStore>, first: usize, rings: usize) -> Self {
+    fn over(store: Rc<SlabStore>, first: usize, rings: usize) -> Self {
         let depth = store.depth;
         let flits = store.flits[first * depth..].as_ptr() as *mut Flit;
         let meta = store.meta[first..].as_ptr() as *mut RingMeta;
@@ -379,7 +371,7 @@ impl SlabRegion {
 
     /// Whether this region shares `slab`'s backing store (drain audits).
     pub fn backed_by(&self, slab: &FlitSlab) -> bool {
-        Arc::ptr_eq(&self.store, &slab.store)
+        Rc::ptr_eq(&self.store, &slab.store)
     }
 }
 

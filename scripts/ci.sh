@@ -41,9 +41,9 @@ cargo run --release --quiet --manifest-path perfbench/Cargo.toml "${OFFLINE[@]}"
 
 echo "== network_step bench smoke (every point once, schema v2) =="
 # One rep of every point: the loaded and low-load points that exercise the
-# activity-driven scheduler, the parallel2 step pool, the near-idle leap
-# points that drive run_until through the idle cycle-leap path, the SDM
-# point and the 1024-node points.
+# activity-driven scheduler, the near-idle leap points that drive
+# run_until through the idle cycle-leap path, the SDM point and the
+# 1024-node points.
 NS_TMP="$(mktemp -d)"
 cargo run --release -p noc-bench --bin network_step "${OFFLINE[@]}" -- \
     --quick --reps 1 --json-out "$NS_TMP/ns.json" > /dev/null
@@ -54,20 +54,19 @@ assert env["schema_version"] == 2, env["schema_version"]
 assert env["bench"] == "network_step"
 names = [p["name"] for p in env["points"]]
 assert names == [
-    "packet_64n_0.3flits",
-    "packet_64n_0.3flits_parallel2",
-    "packet_64n_0.02flits",
-    "packet_64n_0.002flits_leap",
-    "tdm_hybrid_64n_0.3flits",
-    "tdm_hybrid_64n_0.02flits",
-    "tdm_hybrid_64n_0.002flits_leap",
-    "sdm_hybrid_64n_0.02flits",
-    "packet_1024n_0.3flits",
-    "packet_1024n_0.02flits",
-    "packet_1024n_torus_0.3flits",
-    "tdm_hybrid_1024n_0.3flits",
-    "tdm_hybrid_1024n_0.02flits",
-    "tdm_hybrid_1024n_torus_0.02flits",
+    "packet_64n_0.06flits",
+    "packet_64n_0.004flits",
+    "packet_64n_0.0004flits_leap",
+    "tdm_hybrid_64n_0.06flits",
+    "tdm_hybrid_64n_0.004flits",
+    "tdm_hybrid_64n_0.0004flits_leap",
+    "sdm_hybrid_64n_0.004flits",
+    "packet_1024n_0.06flits",
+    "packet_1024n_0.004flits",
+    "packet_1024n_torus_0.06flits",
+    "tdm_hybrid_1024n_0.06flits",
+    "tdm_hybrid_1024n_0.004flits",
+    "tdm_hybrid_1024n_torus_0.004flits",
 ], names
 for p in env["points"]:
     assert p["best_ns_per_cycle"] > 0 and p["packets_delivered"] > 0, p["name"]

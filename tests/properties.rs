@@ -350,61 +350,6 @@ proptest! {
         prop_assert_eq!(net.stats().packets_delivered, net.stats().packets_offered);
     }
 
-    /// Serial and parallel node stepping are bit-identical: the same
-    /// delivered-packet stream (ids, timestamps, switching modes, in the
-    /// same order) and the same statistics, for arbitrary traffic — the
-    /// determinism contract of the `Network::step` kernel.
-    #[test]
-    fn parallel_stepping_matches_serial(
-        seed in 0u64..1000,
-        rate_milli in 20u64..150,
-        threads in 1usize..5,
-        topo_i in 0usize..3,
-    ) {
-        let mesh = match topo_i {
-            0 => Mesh::square(4),
-            1 => Mesh::torus_square(4),
-            _ => Mesh::cmesh(4, 4, 2),
-        };
-        let net_cfg = NetworkConfig::with_mesh(mesh);
-        let run = |step_threads: usize| {
-            let mut net = Network::new(mesh, |id| PacketNode::new(id, &net_cfg, None));
-            net.set_step_threads(step_threads);
-            net.collect_delivered = true;
-            let mut source = SyntheticSource::new(
-                mesh,
-                TrafficPattern::UniformRandom,
-                rate_milli as f64 / 1000.0,
-                5,
-                seed,
-            );
-            net.begin_measurement();
-            for _ in 0..400 {
-                let now = net.now();
-                let mut pkts = Vec::new();
-                source.tick(now, true, |n, p| pkts.push((n, p)));
-                for (n, p) in pkts {
-                    net.inject(n, p);
-                }
-                net.step();
-            }
-            let drained = net.drain(20_000);
-            net.end_measurement();
-            (drained, net.now(), net.delivered_log.clone(), net.stats.clone())
-        };
-        let (s_ok, s_now, s_log, s_stats) = run(0);
-        let (p_ok, p_now, p_log, p_stats) = run(threads);
-        prop_assert!(s_ok && p_ok, "both modes must drain");
-        prop_assert_eq!(s_now, p_now);
-        prop_assert_eq!(s_log, p_log);
-        prop_assert_eq!(s_stats.packets_delivered, p_stats.packets_delivered);
-        prop_assert_eq!(s_stats.latency_sum, p_stats.latency_sum);
-        prop_assert_eq!(s_stats.flits_delivered, p_stats.flits_delivered);
-        prop_assert_eq!(s_stats.events.buffer_writes, p_stats.events.buffer_writes);
-        prop_assert_eq!(s_stats.events.xbar_traversals, p_stats.events.xbar_traversals);
-        prop_assert_eq!(s_stats.leakage.buffer_slot_cycles, p_stats.leakage.buffer_slot_cycles);
-    }
-
     /// Activity-driven stepping (idle routers asleep, slot-wheel and
     /// gating timers, neighbour wakes) is bit-identical to forced
     /// step-everything: the same delivered-packet stream and the same
@@ -488,7 +433,7 @@ proptest! {
     /// Cycle-leaping (`Fabric::run_until` jumping over provably idle
     /// stretches) is bit-identical to per-cycle stepping — same delivered
     /// stream, statistics, energy events and leakage integrals — for every
-    /// switching backend, traffic shape and sweep thread count. This is
+    /// switching backend, traffic shape and topology. This is
     /// the invariant that lets the `--json` envelopes of every driver stay
     /// byte-identical whether a run is ticked or leapt.
     #[test]
@@ -497,7 +442,6 @@ proptest! {
         rate_milli in 2u64..80,
         pattern_i in 0usize..3,
         backend_i in 0usize..4,
-        threads in 2usize..5,
         topo_i in 0usize..3,
     ) {
         let mesh = match topo_i {
@@ -529,14 +473,13 @@ proptest! {
         for t in 0..horizon {
             source.tick(t, true, |n, p| sched.push((t, n, p)));
         }
-        let run = |leap: bool, step_threads: usize| {
+        let run = |leap: bool| {
             let mut fabric = build_fabric(
                 backend,
                 NetworkConfig::with_mesh(mesh),
                 Tuning::Synthetic { slot_capacity: None },
             )
             .expect("synthetic backends build");
-            fabric.set_step_threads(step_threads);
             fabric.set_collect_delivered(true);
             fabric.begin_measurement();
             for (t, n, p) in &sched {
@@ -560,25 +503,22 @@ proptest! {
             fabric.end_measurement();
             (drained, fabric.now(), fabric.delivered_log().to_vec(), fabric.stats().clone())
         };
-        let (t_ok, t_now, t_log, t_stats) = run(false, 0);
-        let (l_ok, l_now, l_log, l_stats) = run(true, 0);
-        let (p_ok, p_now, p_log, p_stats) = run(true, threads);
-        prop_assert!(t_ok && l_ok && p_ok, "all modes must drain ({backend:?})");
-        for (now, log, stats) in [(l_now, &l_log, &l_stats), (p_now, &p_log, &p_stats)] {
-            prop_assert_eq!(t_now, now);
-            prop_assert_eq!(&t_log, log);
-            prop_assert_eq!(t_stats.measured_cycles, stats.measured_cycles);
-            prop_assert_eq!(t_stats.packets_offered, stats.packets_offered);
-            prop_assert_eq!(t_stats.packets_delivered, stats.packets_delivered);
-            prop_assert_eq!(t_stats.latency_sum, stats.latency_sum);
-            prop_assert_eq!(t_stats.latency_max, stats.latency_max);
-            prop_assert_eq!(t_stats.flits_delivered, stats.flits_delivered);
-            prop_assert_eq!(t_stats.cs_packets_delivered, stats.cs_packets_delivered);
-            prop_assert_eq!(t_stats.config_packets_delivered, stats.config_packets_delivered);
-            prop_assert_eq!(t_stats.latency_hist.clone(), stats.latency_hist.clone());
-            prop_assert_eq!(t_stats.events, stats.events);
-            prop_assert_eq!(t_stats.leakage, stats.leakage);
-        }
+        let (t_ok, t_now, t_log, t_stats) = run(false);
+        let (l_ok, l_now, l_log, l_stats) = run(true);
+        prop_assert!(t_ok && l_ok, "both modes must drain ({backend:?})");
+        prop_assert_eq!(t_now, l_now);
+        prop_assert_eq!(t_log, l_log);
+        prop_assert_eq!(t_stats.measured_cycles, l_stats.measured_cycles);
+        prop_assert_eq!(t_stats.packets_offered, l_stats.packets_offered);
+        prop_assert_eq!(t_stats.packets_delivered, l_stats.packets_delivered);
+        prop_assert_eq!(t_stats.latency_sum, l_stats.latency_sum);
+        prop_assert_eq!(t_stats.latency_max, l_stats.latency_max);
+        prop_assert_eq!(t_stats.flits_delivered, l_stats.flits_delivered);
+        prop_assert_eq!(t_stats.cs_packets_delivered, l_stats.cs_packets_delivered);
+        prop_assert_eq!(t_stats.config_packets_delivered, l_stats.config_packets_delivered);
+        prop_assert_eq!(t_stats.latency_hist, l_stats.latency_hist);
+        prop_assert_eq!(t_stats.events, l_stats.events);
+        prop_assert_eq!(t_stats.leakage, l_stats.leakage);
     }
 
     /// Energy accounting: the breakdown is non-negative, additive, and
