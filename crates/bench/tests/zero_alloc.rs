@@ -8,15 +8,19 @@
 //! cycles of inject + step on a loaded 8×8 fabric must perform **zero**
 //! heap allocations, on the packet-switched, TDM and SDM hybrid backends.
 //!
+//! The same allocator also counts live heap bytes, which pins that a
+//! fabric's per-node memory does not grow with the mesh size.
+//!
 //! This lives in its own integration-test binary because a global
 //! allocator is per-binary state; the tests serialise on a mutex so the
 //! armed counter is never shared between concurrently running tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use noc_scenario::backend::synthetic_sdm_config;
+use noc_scenario::{build_fabric, BackendKind, Tuning};
 use noc_sdm::SdmNode;
 use noc_sim::{Mesh, Network, NetworkConfig, PacketNode};
 use noc_traffic::{SyntheticSource, TrafficPattern};
@@ -24,11 +28,13 @@ use tdm_noc::{TdmConfig, TdmNetwork};
 
 /// Counts allocation events (alloc + realloc) while armed. Deallocations
 /// are free to happen — shrinking is not growth — but in practice the
-/// steady state performs none either.
+/// steady state performs none either. Live heap bytes are tracked
+/// always.
 struct CountingAlloc;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 std::thread_local! {
     static IN_HOOK: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
@@ -56,10 +62,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
             ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
             trace_hit("alloc", layout.size());
         }
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
@@ -68,7 +79,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
             ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
             trace_hit("realloc", new_size);
         }
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new_ptr.is_null() {
+            LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+            LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        }
+        new_ptr
     }
 }
 
@@ -212,4 +228,40 @@ fn sdm_steady_state_step_allocates_nothing() {
         events, 0,
         "SDM backend allocated {events} times across {MEASURED_CYCLES} warm cycles"
     );
+}
+
+/// Live heap bytes per node that `build_fabric` leaves behind for a
+/// `side`×`side` mesh of `kind`.
+fn fabric_bytes_per_node(kind: BackendKind, side: u16) -> f64 {
+    let mesh = Mesh::square(side);
+    let before = LIVE_BYTES.load(Ordering::SeqCst);
+    let fabric = build_fabric(
+        kind,
+        NetworkConfig::with_mesh(mesh),
+        Tuning::Synthetic {
+            slot_capacity: None,
+        },
+    )
+    .expect("synthetic backend builds");
+    let bytes = LIVE_BYTES.load(Ordering::SeqCst) - before;
+    drop(fabric);
+    bytes as f64 / mesh.len() as f64
+}
+
+/// Circuit-switched nodes keep per-destination tables (connections,
+/// cooldowns, message counts, CS queues). They hold only the
+/// destinations in use, so a freshly built node costs the same bytes on
+/// a 64×64 mesh as on a 16×16 one; tables sized by the node count would
+/// make fabric memory quadratic in it.
+#[test]
+fn fabric_heap_per_node_does_not_grow_with_the_mesh() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    for kind in [BackendKind::HybridTdmVc4, BackendKind::HybridSdmVc4] {
+        let small = fabric_bytes_per_node(kind, 16);
+        let large = fabric_bytes_per_node(kind, 64);
+        assert!(
+            large <= 1.05 * small,
+            "{kind:?}: {large:.0} B/node at 64x64 vs {small:.0} B/node at 16x16"
+        );
+    }
 }

@@ -13,6 +13,9 @@ use crate::backend::ScenarioError;
 /// request lines nest a handful of levels.
 const MAX_DEPTH: usize = 128;
 
+/// 2^53: below it every integer is an exact `f64`.
+const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -62,12 +65,17 @@ impl Json {
         }
     }
 
-    /// Integer view of a number (rejects fractional values).
+    /// Non-negative integer view of a number; see [`Json::as_i64`].
     pub fn as_u64(&self) -> Option<u64> {
+        self.as_i64().and_then(|n| u64::try_from(n).ok())
+    }
+
+    /// Integer view of a number. Rejects fractional values and any
+    /// magnitude of 2^53 or more: numbers are `f64`, so past 2^53 a
+    /// literal may already have been rounded to a neighbour.
+    pub fn as_i64(&self) -> Option<i64> {
         match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= u64::MAX as f64 => {
-                Some(*x as u64)
-            }
+            Json::Num(x) if x.fract() == 0.0 && x.abs() < EXACT_INT_LIMIT => Some(*x as i64),
             _ => None,
         }
     }
@@ -319,5 +327,24 @@ mod tests {
         assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse("-3").unwrap().as_u64(), None);
         assert_eq!(Json::parse("7").unwrap().as_u64(), Some(7));
+    }
+
+    #[test]
+    fn integers_are_exact_or_refused() {
+        let int = |t: &str| Json::parse(t).unwrap();
+        assert_eq!(int("9007199254740991").as_u64(), Some((1 << 53) - 1));
+        assert_eq!(int("-9007199254740991").as_i64(), Some(1 - (1 << 53)));
+        // 2^53 + 1 parses as 2^53, so 2^53 itself is refused too.
+        for t in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551616",
+        ] {
+            assert_eq!(int(t).as_u64(), None, "{t}");
+            assert_eq!(int(t).as_i64(), None, "{t}");
+        }
+        assert_eq!(int("-9007199254740993").as_i64(), None);
+        assert_eq!(int("-2").as_i64(), Some(-2));
+        assert_eq!(int("2.5").as_i64(), None);
     }
 }

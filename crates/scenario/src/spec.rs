@@ -896,10 +896,9 @@ fn opt_str(v: &Json, key: &'static str) -> Result<Option<String>, ScenarioError>
 fn opt_u64(v: &Json, key: &'static str) -> Result<Option<u64>, ScenarioError> {
     match v.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(x) => x
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| ScenarioError::Parse(format!("{key:?} must be a non-negative integer"))),
+        Some(x) => x.as_u64().map(Some).ok_or_else(|| {
+            ScenarioError::Parse(format!("{key:?} must be a non-negative integer below 2^53"))
+        }),
     }
 }
 
@@ -909,9 +908,17 @@ fn parse_phases(v: &Json, base: PhaseConfig) -> Result<PhaseConfig, ScenarioErro
     };
     let mut ph = base;
     for (k, val) in fields {
+        // `u64::MAX` means "no cap" (`PhaseConfig::pure_cycles`) and spec
+        // echoes write it out; as an `f64` it reads back as 2^64, which
+        // `as_u64` refuses, so that one value maps back to the sentinel.
         let n = val
             .as_u64()
-            .ok_or_else(|| ScenarioError::Parse(format!("phase {k:?} must be an integer")))?;
+            .or_else(|| (val.as_f64() == Some(u64::MAX as f64)).then_some(u64::MAX))
+            .ok_or_else(|| {
+                ScenarioError::Parse(format!(
+                    "phase {k:?} must be an integer below 2^53, or u64::MAX for no cap"
+                ))
+            })?;
         match k.as_str() {
             "warmup_cycles" => ph.warmup_cycles = n,
             "warmup_packets" => ph.warmup_packets = n,
@@ -1316,6 +1323,23 @@ mod tests {
         }
         let ok = spec(255).expect("largest side under the cap");
         assert_eq!(ok[0].mesh, 255);
+    }
+
+    #[test]
+    fn seeds_past_2_pow_53_are_refused_not_rounded() {
+        let spec = |seed: &str| {
+            ScenarioSpec::parse(&format!(
+                r#"{{"backend": "PacketVc4", "pattern": "UR", "rate": 0.1, "seed": {seed}}}"#
+            ))
+        };
+        // 2^53 + 1 would run seed 2^53; 2^64 would saturate to u64::MAX.
+        for seed in ["9007199254740993", "18446744073709551616"] {
+            let e = spec(seed).unwrap_err();
+            assert!(matches!(e, ScenarioError::Parse(_)), "{e}");
+            assert!(e.to_string().contains("\"seed\""), "{e}");
+        }
+        let ok = spec("9007199254740991").expect("largest exact seed");
+        assert_eq!(ok[0].seed, (1 << 53) - 1);
     }
 
     #[test]

@@ -177,10 +177,9 @@ pub fn parse_request(line: &str, fallback_id: &str) -> Result<Request, String> {
             let priority = j
                 .get("priority")
                 .map(|p| {
-                    p.as_f64()
-                        .filter(|x| x.fract() == 0.0)
-                        .map(|x| x as i64)
-                        .ok_or_else(|| "\"priority\" must be an integer".to_string())
+                    p.as_i64().ok_or_else(|| {
+                        "\"priority\" must be an integer of magnitude below 2^53".to_string()
+                    })
                 })
                 .transpose()?
                 .unwrap_or(0);

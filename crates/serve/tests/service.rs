@@ -361,6 +361,44 @@ fn oversized_mesh_gets_an_error_frame_not_a_dead_worker() {
     assert_eq!(frame_kind(frames[1]).as_deref(), Some("stats"));
 }
 
+/// Integers that JSON numbers cannot hold exactly are refused with an
+/// error frame, not rounded: a seed of 2^53 + 1 would run seed 2^53, and
+/// a priority of 2^63 would saturate.
+#[test]
+fn inexact_integers_get_error_frames() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_noc-serve"))
+        .args(["--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn noc-serve");
+    child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(
+            br#"{"op":"run","id":"seed","spec":{"backend":"PacketVc4","mesh":4,"pattern":"UR","rate":0.01,"seed":9007199254740993}}
+{"op":"run","id":"prio","priority":9223372036854775808,"spec":{"backend":"PacketVc4","mesh":4,"pattern":"UR","rate":0.01}}
+{"op":"stats"}
+"#,
+        )
+        .expect("write requests");
+    let out = child.wait_with_output().expect("noc-serve exits");
+    assert!(out.status.success(), "noc-serve failed: {out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 frames");
+    let frames: Vec<&str> = stdout.lines().collect();
+    assert_eq!(frames.len(), 3, "one frame per request: {frames:?}");
+    for (frame, field) in frames.iter().zip(["seed", "priority"]) {
+        assert_eq!(frame_kind(frame).as_deref(), Some("error"));
+        assert!(frame.contains(field), "{frame}");
+    }
+    assert_eq!(frame_kind(frames[2]).as_deref(), Some("stats"));
+}
+
 /// A request line one byte past `MAX_REQUEST_LINE`, then a stats request.
 fn over_long_then_stats() -> Vec<u8> {
     let mut input = vec![b'['; noc_serve::MAX_REQUEST_LINE + 1];

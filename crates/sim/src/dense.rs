@@ -7,23 +7,23 @@
 //! tiny, so hashing is pure overhead: every lookup pays a hash plus a
 //! probe into a cache-cold control table.
 //!
-//! [`NodeTable`] replaces the node-keyed maps with a sparse-set: a dense
-//! entry vector for iteration, a `u16` index array for O(1) lookup, and
-//! a word-per-64-nodes occupancy bitmask so emptiness checks and sorted
-//! drains scan words, not buckets. Iteration order is *insertion order*
-//! (mutated only by `remove`'s swap), which is a deterministic function
-//! of the simulation history — the property the bit-identity pins need.
+//! [`NodeTable`] replaces the node-keyed maps with a dense entry vector
+//! and nothing else: memory is O(live entries), independent of the mesh
+//! size, and a lookup is a linear scan over the few destinations one
+//! node tracks. Iteration order is *insertion order* (mutated only by
+//! the `swap_remove` in `remove` and `retain`), which is a deterministic
+//! function of the simulation history — the property the bit-identity
+//! pins need. Snapshots and simulated output observe that order, so the
+//! table keeps it rather than sorting by key.
 //!
 //! [`RxTable`] replaces the reassembly `FxHashMap<PacketId, u8>` with a
-//! small open-addressed table (linear probing, tombstone deletes, lazy
-//! rehash) sized to in-flight packets.
+//! small open-addressed table (linear probing, tombstone deletes,
+//! rehash that compacts tombstones in place) sized to in-flight packets.
 //!
 //! [`Mesh::new`]: crate::topology::Topology::new
 
 use crate::flit::PacketId;
 use crate::geometry::NodeId;
-
-const IDX_NONE: u16 = u16::MAX;
 
 /// Multi-word bit set over a fixed universe of `len` elements.
 ///
@@ -135,25 +135,39 @@ pub(crate) fn ones_below(k: usize) -> u64 {
     }
 }
 
-/// Sparse-set map from [`NodeId`] to `T`, sized to the mesh at
-/// construction. Lookups are two array indexes; iteration walks a dense
-/// vector; the occupancy bitmask makes "any key below/above N" and
-/// sorted drains cheap.
+/// Map from [`NodeId`] to `T` that stores only its live entries, in a
+/// dense vector: memory is O(entries), not O(mesh). Lookups scan the
+/// vector, which holds the few destinations one node tracks.
+/// Iteration is insertion order, and `remove`/`retain` fill a hole with
+/// the last entry (`swap_remove`), so the order is a deterministic
+/// function of history; snapshots write it as is.
 #[derive(Clone, Debug)]
 pub struct NodeTable<T> {
-    idx: Box<[u16]>,
-    mask: Box<[u64]>,
     entries: Vec<(NodeId, T)>,
+    /// Universe size: every key is below it. Written to snapshots and
+    /// checked on load.
+    nodes: usize,
 }
+
+/// Node ids travel in `u16` flit fields with `u16::MAX` reserved
+/// ([`Mesh::new`]), so no universe reaches this.
+///
+/// [`Mesh::new`]: crate::topology::Topology::new
+const NODES_LIMIT: usize = u16::MAX as usize;
 
 impl<T> NodeTable<T> {
     pub fn new(nodes: usize) -> Self {
-        assert!(nodes < IDX_NONE as usize, "mesh too large for NodeTable");
+        assert!(nodes < NODES_LIMIT, "mesh too large for NodeTable");
         NodeTable {
-            idx: vec![IDX_NONE; nodes].into_boxed_slice(),
-            mask: vec![0u64; nodes.div_ceil(64)].into_boxed_slice(),
             entries: Vec::new(),
+            nodes,
         }
+    }
+
+    #[inline]
+    fn position(&self, node: NodeId) -> Option<usize> {
+        debug_assert!(node.index() < self.nodes);
+        self.entries.iter().position(|(n, _)| *n == node)
     }
 
     #[inline]
@@ -168,40 +182,27 @@ impl<T> NodeTable<T> {
 
     #[inline]
     pub fn contains(&self, node: NodeId) -> bool {
-        self.idx[node.index()] != IDX_NONE
+        self.position(node).is_some()
     }
 
     #[inline]
     pub fn get(&self, node: NodeId) -> Option<&T> {
-        let i = self.idx[node.index()];
-        if i == IDX_NONE {
-            None
-        } else {
-            Some(&self.entries[i as usize].1)
-        }
+        self.position(node).map(|i| &self.entries[i].1)
     }
 
     #[inline]
     pub fn get_mut(&mut self, node: NodeId) -> Option<&mut T> {
-        let i = self.idx[node.index()];
-        if i == IDX_NONE {
-            None
-        } else {
-            Some(&mut self.entries[i as usize].1)
-        }
+        self.position(node).map(|i| &mut self.entries[i].1)
     }
 
     /// Insert or overwrite; returns the previous value if any.
     pub fn insert(&mut self, node: NodeId, value: T) -> Option<T> {
-        let slot = node.index();
-        let i = self.idx[slot];
-        if i == IDX_NONE {
-            self.idx[slot] = self.entries.len() as u16;
-            self.mask[slot / 64] |= 1 << (slot % 64);
-            self.entries.push((node, value));
-            None
-        } else {
-            Some(std::mem::replace(&mut self.entries[i as usize].1, value))
+        match self.position(node) {
+            Some(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            None => {
+                self.entries.push((node, value));
+                None
+            }
         }
     }
 
@@ -210,27 +211,17 @@ impl<T> NodeTable<T> {
     where
         T: Default,
     {
-        if !self.contains(node) {
-            self.insert(node, T::default());
-        }
-        self.get_mut(node).unwrap()
+        let i = self.position(node).unwrap_or_else(|| {
+            self.entries.push((node, T::default()));
+            self.entries.len() - 1
+        });
+        &mut self.entries[i].1
     }
 
-    /// Remove by swap: the last dense entry fills the hole, so the cost
-    /// is O(1) and the resulting order is still history-deterministic.
+    /// Remove by swap: the last entry fills the hole.
     pub fn remove(&mut self, node: NodeId) -> Option<T> {
-        let slot = node.index();
-        let i = self.idx[slot];
-        if i == IDX_NONE {
-            return None;
-        }
-        self.idx[slot] = IDX_NONE;
-        self.mask[slot / 64] &= !(1 << (slot % 64));
-        let (_, value) = self.entries.swap_remove(i as usize);
-        if let Some(&(moved, _)) = self.entries.get(i as usize) {
-            self.idx[moved.index()] = i;
-        }
-        Some(value)
+        let i = self.position(node)?;
+        Some(self.entries.swap_remove(i).1)
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &T)> {
@@ -253,46 +244,30 @@ impl<T> NodeTable<T> {
         self.entries.iter_mut().map(|(_, v)| v)
     }
 
-    /// Drain every entry in ascending [`NodeId`] order, walking the
-    /// occupancy bitmask word by word. Used where a canonical order is
-    /// required regardless of insertion history (e.g. freezing CS state
-    /// for a slot-table resize).
+    /// Drain every entry in ascending [`NodeId`] order. Used where a
+    /// canonical order is required regardless of insertion history (e.g.
+    /// freezing CS state for a slot-table resize).
     pub fn drain_sorted(&mut self) -> Vec<(NodeId, T)> {
-        let mut out = Vec::with_capacity(self.entries.len());
-        for (w, word) in self.mask.iter().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                out.push(NodeId((w * 64 + b) as u32));
-            }
-        }
-        let mut drained = Vec::with_capacity(out.len());
-        for node in out {
-            let v = self.remove(node).expect("bitmask and index agree");
-            drained.push((node, v));
-        }
+        let mut drained = std::mem::take(&mut self.entries);
+        drained.sort_unstable_by_key(|(n, _)| *n);
         drained
     }
 
     pub fn retain(&mut self, mut keep: impl FnMut(NodeId, &mut T) -> bool) {
         let mut i = 0;
         while i < self.entries.len() {
-            let node = self.entries[i].0;
-            if keep(node, &mut self.entries[i].1) {
+            let (node, value) = &mut self.entries[i];
+            if keep(*node, value) {
                 i += 1;
             } else {
-                self.remove(node);
-                // swap_remove moved a new entry into `i`; revisit it.
+                // swap_remove moves the last entry into `i`; revisit it.
+                self.entries.swap_remove(i);
             }
         }
     }
 
     pub fn clear(&mut self) {
-        for (node, _) in self.entries.drain(..) {
-            self.idx[node.index()] = IDX_NONE;
-        }
-        self.mask.fill(0);
+        self.entries.clear();
     }
 }
 
@@ -506,8 +481,8 @@ impl RxTable {
 // ---------------------------------------------------------------------------
 // Snapshot encodings. `BitSet` and `RxTable` are written verbatim (their
 // layouts are deterministic functions of history); `NodeTable` writes its
-// dense entry vector in insertion order and rebuilds the index arrays,
-// which reproduces the exact iteration order.
+// universe and then its entry vector in insertion order, which is the
+// exact iteration order.
 
 use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 
@@ -528,23 +503,25 @@ impl Snap for BitSet {
 
 impl<T: Snap> Snap for NodeTable<T> {
     fn save(&self, w: &mut SnapshotWriter) {
-        w.usize(self.idx.len());
+        w.usize(self.nodes);
         self.entries.save(w);
     }
     fn load(r: &mut SnapshotReader) -> Result<Self, SnapshotError> {
         let nodes = r.usize()?;
-        if nodes >= IDX_NONE as usize {
+        if nodes >= NODES_LIMIT {
             return Err(SnapshotError::Corrupt("NodeTable universe"));
         }
         let entries = Vec::<(NodeId, T)>::load(r)?;
-        let mut t = NodeTable::new(nodes);
-        for (node, value) in entries {
-            if node.index() >= nodes || t.contains(node) {
+        // A bitset, not `contains`, finds duplicates: a hostile blob can
+        // list every node, and the scan would make that quadratic.
+        let mut seen = BitSet::new(nodes);
+        for &(node, _) in &entries {
+            if node.index() >= nodes || seen.get(node.index()) {
                 return Err(SnapshotError::Corrupt("NodeTable entry"));
             }
-            t.insert(node, value);
+            seen.set(node.index());
         }
-        Ok(t)
+        Ok(NodeTable { entries, nodes })
     }
 }
 
@@ -697,6 +674,34 @@ mod tests {
         // Reusable after clear.
         t.insert(NodeId(1), 11);
         assert_eq!(t.get(NodeId(1)), Some(&11));
+    }
+
+    #[test]
+    fn node_table_snapshot_keeps_order_and_refuses_duplicates() {
+        let mut t: NodeTable<u32> = NodeTable::new(100);
+        for n in [40u32, 3, 77, 12] {
+            t.insert(NodeId(n), n);
+        }
+        t.remove(NodeId(3));
+        let mut w = SnapshotWriter::new();
+        t.save(&mut w);
+        let bytes = w.into_bytes();
+        let back = NodeTable::<u32>::load(&mut SnapshotReader::new(&bytes)).unwrap();
+        assert_eq!(
+            back.iter().collect::<Vec<_>>(),
+            t.iter().collect::<Vec<_>>()
+        );
+        assert_eq!(back.nodes, 100);
+
+        let mut w = SnapshotWriter::new();
+        w.usize(100);
+        vec![(NodeId(7), 1u32), (NodeId(7), 2)].save(&mut w);
+        let bytes = w.into_bytes();
+        let e = NodeTable::<u32>::load(&mut SnapshotReader::new(&bytes)).unwrap_err();
+        assert!(
+            matches!(e, SnapshotError::Corrupt("NodeTable entry")),
+            "{e:?}"
+        );
     }
 
     #[test]

@@ -349,6 +349,22 @@ fi
 grep -q "nested deeper" "$SWEEP_TMP/deep.err"
 echo "deep-nesting spec refused: $(tail -n 1 "$SWEEP_TMP/deep.err")"
 
+echo "== inexact spec integer (a seed past 2^53 is refused, not rounded) =="
+echo '{"backend": "PacketVc4", "mesh": 4, "pattern": "UR", "rate": 0.1, "seed": 9007199254740993}' \
+    > "$SWEEP_TMP/bigseed.json"
+if cargo run --release -p noc-bench --bin fig4_load_latency "${OFFLINE[@]}" -- \
+    --scenario "$SWEEP_TMP/bigseed.json" > /dev/null 2> "$SWEEP_TMP/bigseed.err"; then
+    BIGSEED_RC=0
+else
+    BIGSEED_RC=$?
+fi
+if [[ "$BIGSEED_RC" -ne 2 ]]; then
+    echo "seed 2^53 + 1 spec exited $BIGSEED_RC, expected 2"
+    exit 1
+fi
+grep -q '"seed" must be a non-negative integer below 2^53' "$SWEEP_TMP/bigseed.err"
+echo "inexact seed refused: $(tail -n 1 "$SWEEP_TMP/bigseed.err")"
+
 echo "== transient-fault TDM scenario (kill + revive, repair FSM, drain) =="
 cat > "$SWEEP_TMP/fault.json" <<'JSON'
 [
